@@ -13,8 +13,8 @@
 //!
 //! Collisions are not trusted: the registry stores the canonical form next
 //! to the caches and compares it on every lookup (see
-//! [`crate::global_cache`]), so a colliding instance falls back to fresh
-//! caches instead of reading wrong prices.
+//! [`crate::global_cache`]), so a colliding instance never reads wrong
+//! prices.
 
 use hypergraph::Hypergraph;
 use std::fmt;
@@ -29,20 +29,29 @@ impl fmt::Display for Fingerprint {
     }
 }
 
-/// The canonical incidence structure: every edge as its sorted vertex
-/// list, in edge-index order. Together with the vertex count this
-/// identifies the instance exactly (up to names), which is what the
-/// registry compares to rule out hash collisions.
-pub type CanonicalForm = Vec<Vec<usize>>;
+/// The canonical incidence structure as one prefix-free word stream:
+/// `|V|`, then per edge (in edge-index order) its length followed by its
+/// sorted vertices. It identifies the instance exactly (up to names),
+/// which is what the registry compares to rule out hash collisions, and
+/// it is the stream both fingerprint halves hash.
+pub type CanonicalForm = Vec<u64>;
 
-/// Computes the canonical form of `h`.
+/// Computes the canonical form of `h` (one allocation, sized exactly).
 pub fn canonical_form(h: &Hypergraph) -> CanonicalForm {
-    h.edges().iter().map(|e| e.to_vec()).collect()
+    let edges = h.edges();
+    let words = 1 + edges.len() + edges.iter().map(|e| e.len()).sum::<usize>();
+    let mut canon = Vec::with_capacity(words);
+    canon.push(h.num_vertices() as u64);
+    for e in edges {
+        canon.push(e.len() as u64);
+        canon.extend(e.iter().map(|v| v as u64));
+    }
+    canon
 }
 
 /// 64-bit FNV-1a over a word stream, with a caller-chosen basis so two
 /// passes yield independent halves of the 128-bit fingerprint.
-fn fnv1a(words: impl Iterator<Item = u64>, basis: u64) -> u64 {
+fn fnv1a(words: &[u64], basis: u64) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut state = basis;
     for w in words {
@@ -56,27 +65,13 @@ fn fnv1a(words: impl Iterator<Item = u64>, basis: u64) -> u64 {
 
 /// Fingerprints `h` (vertex- and edge-index-sensitive, name-blind).
 pub fn fingerprint(h: &Hypergraph) -> Fingerprint {
-    let canon = canonical_form(h);
-    fingerprint_of_canon(h.num_vertices(), &canon)
+    fingerprint_of_canon(&canonical_form(h))
 }
 
 /// Fingerprints an already-canonicalized incidence structure.
-pub fn fingerprint_of_canon(num_vertices: usize, canon: &CanonicalForm) -> Fingerprint {
-    // Word stream: |V|, then per edge its length followed by its vertices
-    // (the explicit lengths make the stream prefix-free across edges).
-    let words = |canon: &CanonicalForm| {
-        let mut out: Vec<u64> =
-            Vec::with_capacity(1 + canon.iter().map(|e| e.len() + 1).sum::<usize>());
-        out.push(num_vertices as u64);
-        for e in canon {
-            out.push(e.len() as u64);
-            out.extend(e.iter().map(|&v| v as u64));
-        }
-        out
-    };
-    let stream = words(canon);
-    let lo = fnv1a(stream.iter().copied(), 0xcbf2_9ce4_8422_2325);
-    let hi = fnv1a(stream.iter().copied(), 0x6c62_272e_07bb_0142);
+pub fn fingerprint_of_canon(canon: &CanonicalForm) -> Fingerprint {
+    let lo = fnv1a(canon, 0xcbf2_9ce4_8422_2325);
+    let hi = fnv1a(canon, 0x6c62_272e_07bb_0142);
     Fingerprint(((hi as u128) << 64) | lo as u128)
 }
 
@@ -119,5 +114,17 @@ mod tests {
         );
         let b = Hypergraph::from_edges(2, vec![vec![0, 1]]);
         assert_eq!(fingerprint(&a), fingerprint(&b));
+    }
+
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        // Cached keys and `hgtool prep` output depend on these exact
+        // values: the canonical word stream and both FNV bases are fixed.
+        let triangle = Hypergraph::from_edges(3, vec![vec![0, 1], vec![1, 2], vec![2, 0]]);
+        let grid = hypergraph::generators::grid(3, 3);
+        let wide = Hypergraph::from_edges(80, vec![vec![79, 0, 65], vec![3], vec![64, 63, 3]]);
+        assert_eq!(fingerprint(&triangle).0, 0xa9cbe794b1ee8f83ff5ebf4b804bbda4);
+        assert_eq!(fingerprint(&grid).0, 0x6302860b9227a4ab9753ab61500b302c);
+        assert_eq!(fingerprint(&wide).0, 0xeeb7ffd00db752428ae697d78c9fe405);
     }
 }

@@ -29,7 +29,10 @@
 //! ([`BUDGET_ENV`], default 64 MiB), estimated via [`cover::MemSize`] and
 //! enforced by least-recently-used eviction over `(fingerprint, variant)`
 //! keys at session-open time. Opening a session touches its key; slot
-//! checkouts mark the key dirty so the next sweep re-measures it.
+//! checkouts mark the key dirty so the next sweep re-measures it. An open
+//! never scans the registry: the touch is O(log n) in an ordered tick map,
+//! and the sweep keeps a running byte total, so it only re-measures dirty
+//! variants and pops victims off the LRU front.
 //!
 //! Determinism: widths and witnesses are unaffected by reuse (prices and
 //! results are exact values, and witnesses are revalidated by the test
@@ -44,7 +47,7 @@ use cover::{Claim, MemSize, ShardedCache};
 use hypergraph::fx::FxHasher;
 use hypergraph::Hypergraph;
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::{hash_map::Entry, BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -55,33 +58,47 @@ pub const BUDGET_ENV: &str = "HGTOOL_CACHE_BYTES";
 /// cache together.
 const DEFAULT_BUDGET_BYTES: usize = 64 << 20;
 
-/// One registered slot: the type-erased shared cache plus a sizer that
-/// re-measures it (the sizer captures a typed `Arc` clone, so the
-/// byte-budget sweep needs no type knowledge).
-struct SlotEntry {
-    cache: Arc<dyn Any + Send + Sync>,
-    sizer: Box<dyn Fn() -> usize + Send + Sync>,
+/// One registered slot, type-erased: the byte-budget sweep measures it
+/// without type knowledge, and checkouts downcast it back through `Any`.
+trait Slot: Any + Send + Sync {
+    fn approx_bytes(&self) -> usize;
 }
+
+impl<K, V> Slot for ShardedCache<K, V>
+where
+    K: Eq + Hash + MemSize + Send + Sync + 'static,
+    V: Clone + MemSize + Send + Sync + 'static,
+{
+    fn approx_bytes(&self) -> usize {
+        ShardedCache::approx_bytes(self)
+    }
+}
+
+/// A variant key: the primary fingerprint plus the secondary hash of the
+/// canonical form.
+type Key = (u128, u64);
 
 /// One canonical form behind a fingerprint: the exact incidence structure
-/// (collision guard), its slot map, and the byte estimate as of the last
-/// sweep (stale while the variant is in the dirty set).
+/// (collision guard), its slot map, the byte estimate as of the last
+/// sweep (stale while the variant is in the dirty set), and the tick of
+/// its last touch (its position in the LRU order).
 struct Variant {
-    sec: u64,
     canon: CanonicalForm,
-    num_vertices: usize,
-    slots: HashMap<&'static str, SlotEntry>,
+    slots: HashMap<&'static str, Arc<dyn Slot>>,
     bytes: usize,
+    tick: u64,
 }
 
-/// The interior state: variants by fingerprint, the LRU order over
-/// `(fingerprint, secondary)` keys (least recent first), and the keys
-/// whose byte estimate went stale since the last sweep.
+/// The interior state: variants by key, the LRU order as touch tick →
+/// key (least recent first), the keys whose byte estimate went stale
+/// since the last sweep, and the sum of every variant's `bytes`.
 #[derive(Default)]
 struct Registry {
-    entries: HashMap<u128, Vec<Variant>>,
-    order: Vec<(u128, u64)>,
-    dirty: HashSet<(u128, u64)>,
+    variants: HashMap<Key, Variant>,
+    order: BTreeMap<u64, Key>,
+    next_tick: u64,
+    dirty: HashSet<Key>,
+    total: usize,
 }
 
 /// The process-lifetime registry. Obtain the shared one through
@@ -109,9 +126,8 @@ pub fn global() -> &'static GlobalPriceCache {
 /// primary fingerprint (FxHash over the same word stream the fingerprint
 /// reads, but with a different mixing function — independent enough that
 /// a double collision would need two simultaneous 64-bit+128-bit breaks).
-fn secondary_hash(num_vertices: usize, canon: &CanonicalForm) -> u64 {
+fn secondary_hash(canon: &CanonicalForm) -> u64 {
     let mut hasher = FxHasher::default();
-    num_vertices.hash(&mut hasher);
     canon.hash(&mut hasher);
     hasher.finish()
 }
@@ -134,65 +150,59 @@ impl GlobalPriceCache {
     /// opened) while the estimate exceeds the budget.
     pub fn session(&'static self, h: &Hypergraph) -> PriceSession {
         let canon = canonical_form(h);
-        let fp = fingerprint_of_canon(h.num_vertices(), &canon);
-        let sec = secondary_hash(h.num_vertices(), &canon);
-        let mut reg = self.inner.lock().expect("price registry poisoned");
-        let variants = reg.entries.entry(fp.0).or_default();
-        match variants.iter().find(|v| v.sec == sec) {
-            Some(v) if v.canon == canon && v.num_vertices == h.num_vertices() => {}
-            // Double collision (fingerprint and secondary hash): never
-            // share. Unlike the old single-hash fallback this is per
-            // *structure*, not per call — merely fingerprint-colliding
-            // instances each keep their own shared variant above.
-            Some(_) => return PriceSession::fresh(),
-            None => variants.push(Variant {
-                sec,
-                canon,
-                num_vertices: h.num_vertices(),
-                slots: HashMap::new(),
-                bytes: 0,
-            }),
+        let fp = fingerprint_of_canon(&canon);
+        let key = (fp.0, secondary_hash(&canon));
+        let mut guard = self.inner.lock().expect("price registry poisoned");
+        let reg = &mut *guard;
+        let tick = reg.next_tick;
+        reg.next_tick += 1;
+        match reg.variants.entry(key) {
+            Entry::Occupied(entry) => {
+                let v = entry.into_mut();
+                // Double collision (fingerprint and secondary hash): never
+                // share. This is per *structure*, not per call — merely
+                // fingerprint-colliding instances each keep their own
+                // shared variant.
+                if v.canon != canon {
+                    return PriceSession::fresh();
+                }
+                reg.order.remove(&v.tick);
+                v.tick = tick;
+            }
+            Entry::Vacant(entry) => {
+                entry.insert(Variant {
+                    canon,
+                    slots: HashMap::new(),
+                    bytes: 0,
+                    tick,
+                });
+            }
         }
-        let key = (fp.0, sec);
-        if let Some(pos) = reg.order.iter().position(|&k| k == key) {
-            reg.order.remove(pos);
-        }
-        reg.order.push(key);
-        self.sweep(&mut reg, key);
+        reg.order.insert(tick, key);
+        self.sweep(reg, key);
         PriceSession {
-            registry: Some((self, fp, sec)),
+            registry: Some((self, fp, key.1)),
         }
     }
 
     /// Re-measures dirty variants, then evicts from the LRU front while
-    /// the total estimate exceeds the budget (skipping `just_opened`).
-    fn sweep(&self, reg: &mut Registry, just_opened: (u128, u64)) {
+    /// the running total exceeds the budget. `just_opened` holds the
+    /// newest tick, so reaching it means nothing older is left to evict.
+    fn sweep(&self, reg: &mut Registry, just_opened: Key) {
         for key in std::mem::take(&mut reg.dirty) {
-            if let Some(v) = variant_mut(&mut reg.entries, key) {
-                v.bytes = v.slots.values().map(|s| (s.sizer)()).sum();
+            if let Some(v) = reg.variants.get_mut(&key) {
+                let bytes = v.slots.values().map(|s| s.approx_bytes()).sum();
+                reg.total = reg.total - v.bytes + bytes;
+                v.bytes = bytes;
             }
         }
-        let mut total: usize = reg
-            .order
-            .iter()
-            .filter_map(|&k| variant_ref(&reg.entries, k).map(|v| v.bytes))
-            .sum();
-        let mut i = 0;
-        while total > self.budget && i < reg.order.len() {
-            let key = reg.order[i];
-            if key == just_opened {
-                i += 1;
-                continue;
-            }
-            reg.order.remove(i);
-            if let Some(variants) = reg.entries.get_mut(&key.0) {
-                if let Some(pos) = variants.iter().position(|v| v.sec == key.1) {
-                    total -= variants[pos].bytes;
-                    variants.remove(pos);
+        while reg.total > self.budget {
+            match reg.order.first_entry() {
+                Some(oldest) if *oldest.get() != just_opened => {
+                    let victim = reg.variants.remove(&oldest.remove());
+                    reg.total -= victim.expect("ordered key is resident").bytes;
                 }
-                if variants.is_empty() {
-                    reg.entries.remove(&key.0);
-                }
+                _ => break,
             }
         }
     }
@@ -212,29 +222,22 @@ impl GlobalPriceCache {
     {
         let mut guard = self.inner.lock().expect("price registry poisoned");
         let reg = &mut *guard;
-        let variant = variant_mut(&mut reg.entries, (fp.0, sec))?;
-        let slot = variant.slots.entry(name).or_insert_with(|| {
-            let typed: Arc<ShardedCache<K, V>> = Arc::new(ShardedCache::new());
-            let measured = Arc::clone(&typed);
-            SlotEntry {
-                cache: typed,
-                sizer: Box::new(move || measured.approx_bytes()),
-            }
-        });
-        let cache = Arc::clone(&slot.cache)
+        let variant = reg.variants.get_mut(&(fp.0, sec))?;
+        let slot: Arc<dyn Any + Send + Sync> = variant
+            .slots
+            .entry(name)
+            .or_insert_with(|| Arc::new(ShardedCache::<K, V>::new()))
+            .clone();
+        let cache = slot
             .downcast::<ShardedCache<K, V>>()
             .expect("slot name reused with a different cache type");
         reg.dirty.insert((fp.0, sec));
         Some(cache)
     }
 
-    /// Registered variants, in LRU order length (diagnostics).
+    /// Resident variants (diagnostics).
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("price registry poisoned")
-            .order
-            .len()
+        self.occupancy().0
     }
 
     /// True when nothing is registered yet.
@@ -245,23 +248,14 @@ impl GlobalPriceCache {
     /// The byte estimate as of the last sweep (diagnostics; dirty variants
     /// report their stale measurement).
     pub fn approx_bytes(&self) -> usize {
-        let reg = self.inner.lock().expect("price registry poisoned");
-        reg.order
-            .iter()
-            .filter_map(|&k| variant_ref(&reg.entries, k).map(|v| v.bytes))
-            .sum()
+        self.occupancy().1
     }
-}
 
-fn variant_ref(entries: &HashMap<u128, Vec<Variant>>, key: (u128, u64)) -> Option<&Variant> {
-    entries.get(&key.0)?.iter().find(|v| v.sec == key.1)
-}
-
-fn variant_mut(
-    entries: &mut HashMap<u128, Vec<Variant>>,
-    key: (u128, u64),
-) -> Option<&mut Variant> {
-    entries.get_mut(&key.0)?.iter_mut().find(|v| v.sec == key.1)
+    /// `(resident variants, byte estimate)` read under one lock.
+    fn occupancy(&self) -> (usize, usize) {
+        let reg = self.inner.lock().expect("price registry poisoned");
+        (reg.variants.len(), reg.total)
+    }
 }
 
 /// A per-search handle to the shared caches of one instance (or to fresh
@@ -388,9 +382,9 @@ where
         return run();
     }
     let session = global().session(h);
-    if !session.is_shared() {
+    let Some((_, fp, _)) = session.registry else {
         return run();
-    }
+    };
     let span = obs::span!("result_cache", slot = slot);
     let cache: Arc<ShardedCache<String, (R, SearchStats)>> = session.cache(slot);
     // Anytime-bounds plumbing (only when an ambient control is
@@ -399,9 +393,9 @@ where
     // best-so-far bounds replay immediately and future reports stream in
     // while we wait.
     let ambient = crate::anytime::current_sink();
-    let fp = ambient
-        .as_ref()
-        .map(|sink| inflight_bounds::attach_waiter(h, slot, &key, sink));
+    if let Some(sink) = &ambient {
+        inflight_bounds::attach_waiter(fp, slot, &key, sink);
+    }
     let (claim, waited) = cache.claim_tracking_wait(&key);
     let answer = match claim {
         Claim::Hit((result, mut stats)) => {
@@ -430,9 +424,9 @@ where
             // other observer of the same (instance, slot, key)) can
             // watch the bounds tighten; deregistered on drop, unwind
             // included.
-            let _published = ambient.as_ref().map(|sink| {
-                inflight_bounds::publish(fp.expect("fp with ambient"), slot, &key, sink)
-            });
+            let _published = ambient
+                .as_ref()
+                .map(|sink| inflight_bounds::publish(fp, slot, &key, sink));
             let (result, stats) = run();
             guard.disarm();
             cache.complete(key, (result.clone(), stats.clone()));
@@ -441,11 +435,9 @@ where
     };
     // Occupancy gauges follow every routed query (byte accounting is the
     // registry's LRU estimate — the same number its sweep budgets by).
-    let reg = global();
-    cache_metrics::handles()
-        .bytes
-        .set(reg.approx_bytes() as i64);
-    cache_metrics::handles().variants.set(reg.len() as i64);
+    let (variants, bytes) = global().occupancy();
+    cache_metrics::handles().bytes.set(bytes as i64);
+    cache_metrics::handles().variants.set(variants as i64);
     answer
 }
 
@@ -506,17 +498,9 @@ mod inflight_bounds {
         REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
     }
 
-    /// If `(h, slot, key)` is in flight, attach `sink` as a listener of
+    /// If `(fp, slot, key)` is in flight, attach `sink` as a listener of
     /// the owner's sink (replays best-so-far, then streams improvements).
-    /// Returns the fingerprint so the caller can reuse it for
-    /// [`publish`].
-    pub(super) fn attach_waiter(
-        h: &Hypergraph,
-        slot: &'static str,
-        key: &str,
-        sink: &BoundSink,
-    ) -> Fingerprint {
-        let fp = crate::fingerprint(h);
+    pub(super) fn attach_waiter(fp: Fingerprint, slot: &'static str, key: &str, sink: &BoundSink) {
         let owner = registry()
             .lock()
             .expect("in-flight bound registry poisoned")
@@ -525,7 +509,6 @@ mod inflight_bounds {
         if let Some(owner) = owner {
             owner.attach(sink.clone());
         }
-        fp
     }
 
     /// Publishes `sink` as the in-flight owner of `(fp, slot, key)`;
@@ -660,6 +643,133 @@ mod tests {
         let s = reg.session(&h);
         assert!(s.is_shared());
         assert_eq!(s.cache::<u32, u32>("t").get(&1), Some(1));
+    }
+
+    #[test]
+    fn double_collision_gets_a_fresh_private_session() {
+        let reg = private(1 << 20);
+        let h = generators::path(3);
+        reg.session(&h).cache::<u32, u32>("t").complete(1, 1);
+        // Forge a double collision: the resident variant keeps its key
+        // (fingerprint and secondary hash) but holds another structure.
+        for v in reg.inner.lock().unwrap().variants.values_mut() {
+            v.canon.push(0);
+        }
+        let s = reg.session(&h);
+        assert!(!s.is_shared(), "a double collision never shares");
+        assert_eq!(s.cache::<u32, u32>("t").get(&1), None);
+        assert_eq!(reg.len(), 1, "the resident variant stays");
+    }
+
+    /// The registry against a naive reference: a `Vec` LRU (least recent
+    /// first) that re-sums every resident variant on each open, over
+    /// several hundred instances, a budget holding a few dozen, and a
+    /// deterministic mix of opens, slot checkouts and completions.
+    #[test]
+    fn registry_matches_a_naive_vec_lru_model() {
+        type Prices = Arc<ShardedCache<u32, u32>>;
+        type Lists = Arc<ShardedCache<u32, Vec<u32>>>;
+        /// The model's view of one resident variant: the caches checked
+        /// out of it so far and their size as of the last sweep.
+        #[derive(Default)]
+        struct Model {
+            prices: Option<Prices>,
+            lists: Option<Lists>,
+            bytes: usize,
+        }
+        impl Model {
+            fn measure(&self) -> usize {
+                self.prices.as_ref().map_or(0, |c| c.approx_bytes())
+                    + self.lists.as_ref().map_or(0, |c| c.approx_bytes())
+            }
+        }
+
+        const INSTANCES: usize = 300;
+        let reg = private(48 << 10);
+        let graphs: Vec<Hypergraph> = (0..INSTANCES).map(|i| generators::path(i + 2)).collect();
+        let keys: Vec<Key> = graphs
+            .iter()
+            .map(|h| {
+                let canon = canonical_form(h);
+                (fingerprint_of_canon(&canon).0, secondary_hash(&canon))
+            })
+            .collect();
+        assert_eq!(keys.iter().collect::<HashSet<_>>().len(), INSTANCES);
+
+        let mut order: Vec<usize> = Vec::new();
+        let mut model: HashMap<usize, Model> = HashMap::new();
+        let mut dirty: HashSet<usize> = HashSet::new();
+        let mut rng: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = move |bound: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % bound as u64) as usize
+        };
+        let mut evictions = 0;
+        for step in 0..3_000 {
+            // Skewed toward low indices, so hits mix with evicting misses.
+            let i = next(INSTANCES) * next(INSTANCES) / INSTANCES;
+            let before: HashSet<Key> = reg.inner.lock().unwrap().variants.keys().copied().collect();
+            let session = reg.session(&graphs[i]);
+            assert!(session.is_shared());
+
+            // Model open: touch, re-measure dirty, evict from the front.
+            order.retain(|&j| j != i);
+            order.push(i);
+            model.entry(i).or_default();
+            for j in std::mem::take(&mut dirty) {
+                let m = model.get_mut(&j).expect("dirty variants are resident");
+                m.bytes = m.measure();
+            }
+            let mut total: usize = order.iter().map(|j| model[j].bytes).sum();
+            let mut victims = HashSet::new();
+            while total > reg.budget && order[0] != i {
+                let j = order.remove(0);
+                total -= model.remove(&j).expect("ordered is resident").bytes;
+                victims.insert(keys[j]);
+            }
+            evictions += victims.len();
+
+            {
+                let inner = reg.inner.lock().unwrap();
+                let lru: Vec<Key> = inner.order.values().copied().collect();
+                let expected: Vec<Key> = order.iter().map(|&j| keys[j]).collect();
+                assert_eq!(lru, expected, "LRU order diverged at step {step}");
+                let after: HashSet<Key> = inner.variants.keys().copied().collect();
+                let evicted: HashSet<Key> = before.difference(&after).copied().collect();
+                assert_eq!(evicted, victims, "eviction victims diverged at step {step}");
+                assert!(after.contains(&keys[i]), "just-opened variant evicted");
+                for (k, v) in &inner.variants {
+                    assert_eq!(inner.order.get(&v.tick), Some(k), "tick out of order");
+                }
+            }
+            let fresh: usize = order.iter().map(|j| model[j].measure()).sum();
+            assert_eq!(reg.approx_bytes(), fresh, "running total at step {step}");
+            assert_eq!(reg.len(), order.len());
+
+            // Slot checkouts (marking the variant dirty) and completions.
+            let m = model.get_mut(&i).expect("just opened");
+            let op = next(4);
+            if op >= 1 {
+                let c: Prices = session.cache("prices");
+                if let Some(old) = &m.prices {
+                    assert!(Arc::ptr_eq(old, &c), "resident slot was replaced");
+                }
+                let completions = if op >= 2 { next(40) as u32 } else { 0 };
+                for k in 0..completions {
+                    c.complete(k, k);
+                }
+                m.prices = Some(c);
+                dirty.insert(i);
+            }
+            if op == 3 {
+                let c: Lists = session.cache("lists");
+                c.complete(step as u32, vec![0; next(64)]);
+                m.lists = Some(c);
+            }
+        }
+        assert!(evictions > 1_000, "the budget kept evicting ({evictions})");
     }
 
     #[test]
