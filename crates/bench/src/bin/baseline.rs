@@ -255,7 +255,7 @@ fn main() {
     }
     body.push_str("    ]\n  },\n");
     // The portfolio block (v6): every instance of the corpus plus the
-    // vendored HyperBench-style set races its full backend registries —
+    // vendored HyperBench-style set races its backend registries —
     // first exact answer wins, losers cancelled — and the block records
     // who won each measure, how fast the first bound and the exact answer
     // arrived, and that the portfolio widths matched the plain path.
@@ -263,7 +263,6 @@ fn main() {
     port_corpus.extend(workloads::vendored_corpus());
     let port_total = port_corpus.len();
     eprintln!("portfolio: racing {port_total} instances");
-    let popts = hypertree_core::solver::portfolio::PortfolioOptions::default();
     let mut widths_match = true;
     let _ = writeln!(body, "  \"portfolio\": {{");
     let _ = writeln!(body, "    \"instances\": {port_total},");
@@ -271,7 +270,7 @@ fn main() {
     for (i, w) in port_corpus.iter().enumerate() {
         let h = &w.hypergraph;
         let plain = hypertree_core::exact_widths_with_opts(h, 6, batch_opts).map(|(w, _)| w);
-        let raced = hypertree_core::exact_widths_portfolio(h, 6, batch_opts, &popts);
+        let raced = hypertree_core::exact_widths_portfolio(h, 6, batch_opts, None);
         widths_match &= plain == raced.as_ref().map(|(w, _, _)| w.clone());
         let _ = write!(body, "      {{\"name\": \"{}\"", w.name);
         match &raced {

@@ -160,19 +160,17 @@ pub fn exact_widths_with_opts(
     ))
 }
 
-/// The portfolio registry: every [`solver::backend::Backend`] able to
-/// resolve requests of the given measure, in admission order (the
-/// always-eligible default engine first). This is the one place the five
-/// strategies' backend sets are wired together; [`solver::portfolio::race`]
-/// consumes the list directly.
+/// The portfolio registry: the [`solver::backend::Backend`]s worth racing
+/// for the given measure, in admission order (the always-eligible default
+/// first): `iterate` for `hw`, `engine` + `elim` for `ghw` and `fhw`.
+/// This is the one place the three measures' backend sets are wired
+/// together; [`solver::portfolio::race`] consumes the list directly.
 pub fn backends_for(measure: &solver::backend::Measure) -> Vec<Box<dyn solver::backend::Backend>> {
     use solver::backend::Measure;
     match measure {
         Measure::Hw { .. } => hd::backends::backends(),
         Measure::Ghw { .. } => ghd::backends::backends(),
         Measure::Fhw { .. } => fhd::backends::fhw_backends(),
-        Measure::FracDecomp { .. } => fhd::backends::frac_decomp_backends(),
-        Measure::StrictHd { .. } => fhd::backends::strict_hd_backends(),
     }
 }
 
@@ -190,24 +188,24 @@ pub struct WidthRaces {
 }
 
 /// As [`exact_widths_with_opts`], but each of the three measures races
-/// its full backend registry ([`backends_for`]) through
-/// [`solver::portfolio::race`]: first exact answer wins, losers are
-/// cancelled, and the per-measure [`WidthRaces`] report records winner,
-/// bound trace and race timings. Widths are identical to the
-/// non-portfolio path (every backend is exact); `None` means some
-/// measure's race ended unresolved (instance out of every backend's
-/// range, or a deadline struck first).
+/// its backend registry ([`backends_for`]) through
+/// [`solver::portfolio::race`], each race under `deadline`: first exact
+/// answer wins, losers are cancelled, and the per-measure [`WidthRaces`]
+/// report records winner, bound trace and race timings. Widths are
+/// identical to the non-portfolio path (every backend is exact); `None`
+/// means some measure's race ended unresolved (instance out of every
+/// backend's range, or a deadline struck first).
 pub fn exact_widths_portfolio(
     h: &Hypergraph,
     max_hw: usize,
     opts: solver::EngineOptions,
-    popts: &solver::portfolio::PortfolioOptions,
+    deadline: Option<std::time::Duration>,
 ) -> Option<(ExactWidths, WidthStats, WidthRaces)> {
     use solver::backend::{Measure, WidthRequest};
     let race = |measure: Measure| {
         let backends = backends_for(&measure);
         let req = WidthRequest { measure, opts };
-        solver::portfolio::race(h, &req, &backends, popts)
+        solver::portfolio::race(h, &req, &backends, deadline)
     };
     let hw_race = race(Measure::Hw { max_k: max_hw });
     let ghw_race = race(Measure::Ghw { cutoff: None });
@@ -246,10 +244,10 @@ pub fn exact_widths_portfolio_batch(
     instances: &[Hypergraph],
     max_hw: usize,
     opts: solver::EngineOptions,
-    popts: &solver::portfolio::PortfolioOptions,
+    deadline: Option<std::time::Duration>,
 ) -> Vec<Option<(ExactWidths, WidthStats, WidthRaces)>> {
     solver::solve_batch(instances, |_, h| {
-        let result = exact_widths_portfolio(h, max_hw, opts, popts);
+        let result = exact_widths_portfolio(h, max_hw, opts, deadline);
         let merged = result
             .as_ref()
             .map_or_else(SearchStats::default, |(_, s, _)| {

@@ -83,8 +83,7 @@ pub fn check_fhd_bdp(h: &Hypergraph, k: &Rational, params: HdkParams) -> FhdAnsw
 
 /// As [`check_fhd_bdp`], also reporting engine and separator-LP cache
 /// counters. The strict-HD search is a decision strategy, so it runs
-/// sequentially unless [`EngineOptions::speculate`] lets it race separator
-/// guesses across the worker pool.
+/// sequentially and stops at the first witness.
 pub fn check_fhd_bdp_with_stats(
     h: &Hypergraph,
     k: &Rational,
@@ -99,30 +98,30 @@ pub fn check_fhd_bdp_with_stats(
         "k={:?};arity={};max_sub={};prep={};rp={};backend=auto",
         k, params.union_arity, params.max_subedges, opts.prep, opts.reuse_prices
     );
-    let reuse = opts.reuse_results && !opts.speculate;
-    let (answer, mut stats) = prep::cached_query(h, "result-fhd-bdp", key, reuse, || {
-        // Decision profile (duplicate edges + twin vertices): `fhw` and
-        // the strictness trace are preserved exactly, and the lifted
-        // witness stays a valid FHD of `h` at the same width. The
-        // `No`/`Unknown` distinction travels around the generic wrapper
-        // in `verdict`.
-        let mut verdict = FhdAnswer::No;
-        let (result, stats) = prep::run_decision(h, opts.prep, |block| {
-            let (answer, s) = check_fhd_bdp_piece(block, k, params, opts);
-            match answer {
-                FhdAnswer::Yes(d) => (Some(((), *d)), s),
-                other => {
-                    verdict = other;
-                    (None, s)
+    let (answer, mut stats) =
+        prep::cached_query(h, "result-fhd-bdp", key, opts.reuse_results, || {
+            // Decision profile (duplicate edges + twin vertices): `fhw` and
+            // the strictness trace are preserved exactly, and the lifted
+            // witness stays a valid FHD of `h` at the same width. The
+            // `No`/`Unknown` distinction travels around the generic wrapper
+            // in `verdict`.
+            let mut verdict = FhdAnswer::No;
+            let (result, stats) = prep::run_decision(h, opts.prep, |block| {
+                let (answer, s) = check_fhd_bdp_piece(block, k, params, opts);
+                match answer {
+                    FhdAnswer::Yes(d) => (Some(((), *d)), s),
+                    other => {
+                        verdict = other;
+                        (None, s)
+                    }
                 }
-            }
+            });
+            let answer = match result {
+                Some((_, d)) => FhdAnswer::Yes(Box::new(d)),
+                None => verdict,
+            };
+            (answer, stats)
         });
-        let answer = match result {
-            Some((_, d)) => FhdAnswer::Yes(Box::new(d)),
-            None => verdict,
-        };
-        (answer, stats)
-    });
     stats.pool_reuse = usize::from(warm);
     (answer, stats)
 }
@@ -242,8 +241,7 @@ struct StrictHd {
     /// the same state back to back, and both need the `(usable, allowed)`
     /// pair — cache it so the O(edges) scan plus span unions run once per
     /// state, not twice. The slot re-checks its key before use, so it
-    /// stays correct (merely colder) when speculation interleaves states
-    /// across workers.
+    /// stays correct (merely colder) when states interleave.
     scope_cache: Mutex<Option<ScopedState>>,
 }
 

@@ -83,8 +83,7 @@ pub fn fhw_exact_with_stats(
         "cutoff={cutoff:?};prep={};rp={};backend=auto",
         opts.prep, opts.reuse_prices
     );
-    let reuse = opts.reuse_results && !opts.speculate;
-    let (result, mut stats) = prep::cached_query(h, "result-fhw", key, reuse, || {
+    let (result, mut stats) = prep::cached_query(h, "result-fhw", key, opts.reuse_results, || {
         prep::run_minimizer(h, opts.prep, |block| fhw_piece(block, cutoff.clone(), opts))
     });
     stats.pool_reuse = usize::from(warm);
@@ -131,8 +130,7 @@ pub fn fhw_exact_elimination_with_stats(
         "cutoff={cutoff:?};prep={};rp={};backend=elim",
         opts.prep, opts.reuse_prices
     );
-    let reuse = opts.reuse_results && !opts.speculate;
-    prep::cached_query(h, "result-fhw", key, reuse, || {
+    prep::cached_query(h, "result-fhw", key, opts.reuse_results, || {
         prep::run_minimizer(h, opts.prep, |block| {
             if block.num_vertices() > ghd::elimination::MAX_EXACT_VERTICES {
                 return (None, SearchStats::default());
@@ -370,7 +368,7 @@ fn fhw_by_elimination(
     let searched = ghd::elimination::optimal_elimination(
         h,
         |bag| {
-            // The DP runs outside the engine's cancellation scopes, so it
+            // The DP runs outside the engine's cancellation checks, so it
             // polls the ambient token itself on its hot path.
             if prep::anytime::interrupted() {
                 prep::anytime::interrupt::raise();

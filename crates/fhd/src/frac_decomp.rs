@@ -48,8 +48,7 @@ pub fn frac_decomp(h: &Hypergraph, params: &FracDecompParams) -> Option<Decompos
 
 /// As [`frac_decomp`], also reporting the engine counters, with explicit
 /// scheduling. Algorithm 3 is a decision strategy, so it runs sequentially
-/// unless [`EngineOptions::speculate`] lets it race `(S, W_s)` guesses
-/// across the worker pool, aborting sibling LPs at the first witness.
+/// and stops at the first witness.
 pub fn frac_decomp_with_stats(
     h: &Hypergraph,
     params: &FracDecompParams,
@@ -64,23 +63,23 @@ pub fn frac_decomp_with_stats(
         "k={:?};eps={:?};c={};prep={};rp={};backend=auto",
         params.k, params.eps, params.c, opts.prep, opts.reuse_prices
     );
-    let reuse = opts.reuse_results && !opts.speculate;
-    let (result, mut stats) = prep::cached_query(h, "result-frac-decomp", key, reuse, || {
-        // Decision profile: duplicate-edge and twin-vertex collapse only —
-        // the passes whose lifts preserve the weak special condition. The
-        // `c` bound is checked on the *reduced* instance, so acceptance is
-        // one-sided monotone: anything the unprepped algorithm accepts is
-        // still accepted (an FHD with a c-bounded part projects onto the
-        // collapsed instance), and everything accepted lifts to a valid
-        // width-(k+ε) witness of `h` — but collapsed twins need fewer
-        // `W_s` slots, so prep can accept where the raw algorithm's
-        // c-relative completeness gave up.
-        let (result, stats) = prep::run_decision(h, opts.prep, |block| {
-            let (d, s) = frac_decomp_piece(block, params, opts);
-            (d.map(|d| ((), d)), s)
+    let (result, mut stats) =
+        prep::cached_query(h, "result-frac-decomp", key, opts.reuse_results, || {
+            // Decision profile: duplicate-edge and twin-vertex collapse only —
+            // the passes whose lifts preserve the weak special condition. The
+            // `c` bound is checked on the *reduced* instance, so acceptance is
+            // one-sided monotone: anything the unprepped algorithm accepts is
+            // still accepted (an FHD with a c-bounded part projects onto the
+            // collapsed instance), and everything accepted lifts to a valid
+            // width-(k+ε) witness of `h` — but collapsed twins need fewer
+            // `W_s` slots, so prep can accept where the raw algorithm's
+            // c-relative completeness gave up.
+            let (result, stats) = prep::run_decision(h, opts.prep, |block| {
+                let (d, s) = frac_decomp_piece(block, params, opts);
+                (d.map(|d| ((), d)), s)
+            });
+            (result.map(|(_, d)| d), stats)
         });
-        (result.map(|(_, d)| d), stats)
-    });
     stats.pool_reuse = usize::from(warm);
     (result, stats)
 }

@@ -1,6 +1,6 @@
 //! The `ghw` members of the width-backend portfolio.
 //!
-//! Four [`Backend`]s resolve [`Measure::Ghw`] requests, each reusing the
+//! Two [`Backend`]s resolve [`Measure::Ghw`] requests, each reusing the
 //! corresponding `_with_stats` path (so a backend's answer is
 //! byte-identical to calling that path directly, and repeated or
 //! concurrent identical runs deduplicate through the result cache —
@@ -8,18 +8,10 @@
 //!
 //! * `engine` — the default hybrid: heuristic seed, edge-union engine
 //!   under the seeded cutoff, elimination-DP fallback. Always eligible.
-//! * `elim` — the elimination-order DP alone (≤ 24 vertices).
-//! * `oracle` — the subset-enumeration cross-check (small instances).
-//! * `seed-refine` — heuristic-ub-then-refine: reports the witnessed
-//!   upper bound within milliseconds, then runs the full exact path; in
-//!   a race this backend is the time-to-first-bound champion while the
-//!   result cache dedups its exact tail onto the `engine` member's
-//!   in-flight search.
+//! * `elim` — the elimination-order DP alone (≤ 24 vertices), the
+//!   faster member on small dense instances.
 
-use crate::exact::{
-    ghw_exact_elimination_with_stats, ghw_exact_subset_oracle, ghw_exact_with_stats,
-    ghw_upper_bound_with_stats,
-};
+use crate::exact::{ghw_exact_elimination_with_stats, ghw_exact_with_stats};
 use arith::Rational;
 use decomp::Decomposition;
 use hypergraph::Hypergraph;
@@ -29,12 +21,7 @@ use solver::SearchStats;
 /// The `ghw` portfolio, in admission order (the always-eligible engine
 /// first).
 pub fn backends() -> Vec<Box<dyn Backend>> {
-    vec![
-        Box::new(Engine),
-        Box::new(SeedRefine),
-        Box::new(Elimination),
-        Box::new(SubsetOracle),
-    ]
+    vec![Box::new(Engine), Box::new(Elimination)]
 }
 
 fn cutoff_of(req: &WidthRequest) -> Option<usize> {
@@ -92,57 +79,6 @@ impl Backend for Elimination {
     fn run(&self, h: &Hypergraph, req: &WidthRequest, _ctl: &RunCtl) -> Outcome {
         let cutoff = cutoff_of(req);
         let (result, stats) = ghw_exact_elimination_with_stats(h, cutoff, req.opts);
-        outcome_of(self.id(), cutoff.is_some(), result, stats)
-    }
-}
-
-struct SubsetOracle;
-
-impl Backend for SubsetOracle {
-    fn id(&self) -> BackendId {
-        "oracle"
-    }
-
-    fn eligible(&self, h: &Hypergraph, _req: &WidthRequest) -> bool {
-        h.num_vertices() <= solver::MAX_SUBSET_ORACLE_VERTICES
-    }
-
-    fn run(&self, h: &Hypergraph, req: &WidthRequest, _ctl: &RunCtl) -> Outcome {
-        let cutoff = cutoff_of(req);
-        let reuse = req.opts.reuse_results && !req.opts.speculate;
-        let key = format!("cutoff={cutoff:?};backend=oracle");
-        let (result, stats) = prep::cached_query(h, "result-ghw", key, reuse, || {
-            (ghw_exact_subset_oracle(h, cutoff), SearchStats::default())
-        });
-        // The oracle is complete on eligible instances, so `None` is a
-        // certified cutoff answer whenever a cutoff was set.
-        outcome_of(self.id(), cutoff.is_some(), result, stats)
-    }
-}
-
-struct SeedRefine;
-
-impl Backend for SeedRefine {
-    fn id(&self) -> BackendId {
-        "seed-refine"
-    }
-
-    fn run(&self, h: &Hypergraph, req: &WidthRequest, ctl: &RunCtl) -> Outcome {
-        let cutoff = cutoff_of(req);
-        // Phase 1: the witnessed heuristic bound, reported immediately.
-        let (seed, mut stats) = ghw_upper_bound_with_stats(h, req.opts);
-        if let Some((ub, d)) = &seed {
-            ctl.sink.report_upper(Rational::from(*ub), Some(d));
-            if *ub == 1 {
-                // ghw >= 1 always: a width-1 witness is already exact.
-                let (ub, d) = seed.expect("present");
-                return Outcome::exact(self.id(), Rational::from(ub), d, stats);
-            }
-        }
-        // Phase 2: the full exact path (internally re-seeded; identical
-        // request keys dedup onto any in-flight `engine` run).
-        let (result, s) = ghw_exact_with_stats(h, cutoff, req.opts);
-        stats.merge(&s);
         outcome_of(self.id(), cutoff.is_some(), result, stats)
     }
 }

@@ -69,8 +69,7 @@ pub fn ghw_exact_with_stats(
         "cutoff={cutoff:?};prep={};rp={};backend=auto",
         opts.prep, opts.reuse_prices
     );
-    let reuse = opts.reuse_results && !opts.speculate;
-    let (result, mut stats) = prep::cached_query(h, "result-ghw", key, reuse, || {
+    let (result, mut stats) = prep::cached_query(h, "result-ghw", key, opts.reuse_results, || {
         // The minimizer pipeline: GYO-style simplification, then
         // biconnected blocks solved independently (candidate generation
         // and the heuristic bound run per block), width = max, witness
@@ -121,8 +120,7 @@ pub fn ghw_exact_elimination_with_stats(
         "cutoff={cutoff:?};prep={};rp={};backend=elim",
         opts.prep, opts.reuse_prices
     );
-    let reuse = opts.reuse_results && !opts.speculate;
-    prep::cached_query(h, "result-ghw", key, reuse, || {
+    prep::cached_query(h, "result-ghw", key, opts.reuse_results, || {
         prep::run_minimizer(h, opts.prep, |block| {
             if block.num_vertices() > crate::elimination::MAX_EXACT_VERTICES {
                 return (None, SearchStats::default());

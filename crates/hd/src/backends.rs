@@ -1,35 +1,17 @@
-//! The `hw` members of the width-backend portfolio.
+//! The `hw` member of the width-backend portfolio.
 //!
-//! Both backends drive the same `det-k-decomp` check and differ only in
-//! how they schedule the `k` probes, so widths *and* witnesses are
-//! byte-identical (the winning witness is the deterministic
-//! `check_hd` answer at the minimal `k`, whichever schedule found it)
-//! and the two members even share per-`k` check results through the
-//! `result-hw-check` cache:
-//!
-//! * `iterate` — the classic `k = 1, 2, ...` ladder, each failed check
-//!   reporting `hw > k` as an anytime lower bound.
-//! * `bisect` — binary search on `k` (monotone: a width-`k` HD implies a
-//!   width-`k+1` HD), reporting a witnessed upper bound at every
-//!   accepting probe; it reaches the answer in `O(log max_k)` checks
-//!   when high-`k` probes are cheap relative to the `k`-ladder.
+//! `iterate` is the classic `k = 1, 2, ...` ladder of `det-k-decomp`
+//! checks. It is the only `hw` backend: a lone member races inline, so
+//! the portfolio answer is exactly the plain path's.
 
-use crate::detk::{check_hd_with_stats, hypertree_width_with_stats};
+use crate::detk::hypertree_width_with_stats;
 use arith::Rational;
 use hypergraph::Hypergraph;
 use solver::backend::{Backend, BackendId, Measure, Outcome, RunCtl, WidthRequest};
-use solver::SearchStats;
 
-/// The `hw` portfolio, in admission order.
+/// The `hw` portfolio.
 pub fn backends() -> Vec<Box<dyn Backend>> {
-    vec![Box::new(Iterate), Box::new(Bisect)]
-}
-
-fn max_k_of(req: &WidthRequest) -> usize {
-    match req.measure {
-        Measure::Hw { max_k } => max_k,
-        ref m => unreachable!("hw backend asked for {m:?}"),
-    }
+    vec![Box::new(Iterate)]
 }
 
 struct Iterate;
@@ -40,58 +22,15 @@ impl Backend for Iterate {
     }
 
     fn run(&self, h: &Hypergraph, req: &WidthRequest, _ctl: &RunCtl) -> Outcome {
-        let max_k = max_k_of(req);
+        let max_k = match req.measure {
+            Measure::Hw { max_k } => max_k,
+            ref m => unreachable!("hw backend asked for {m:?}"),
+        };
         let (result, stats) = hypertree_width_with_stats(h, max_k, req.opts);
         match result {
             Some((w, d)) => Outcome::exact(self.id(), Rational::from(w), d, stats),
             // The ladder is complete up to `max_k`, so `None` certifies
             // `hw > max_k`.
-            None => Outcome::certified_no(self.id(), stats),
-        }
-    }
-}
-
-struct Bisect;
-
-impl Backend for Bisect {
-    fn id(&self) -> BackendId {
-        "bisect"
-    }
-
-    fn eligible(&self, _h: &Hypergraph, req: &WidthRequest) -> bool {
-        // Below three candidate widths the ladder needs at most two
-        // checks anyway; bisection can only reorder them.
-        max_k_of(req) >= 3
-    }
-
-    fn run(&self, h: &Hypergraph, req: &WidthRequest, ctl: &RunCtl) -> Outcome {
-        let max_k = max_k_of(req);
-        let mut stats = SearchStats::default();
-        // Invariant: every `k < lo` has been refuted, `best` holds the
-        // accepting check at the smallest `k` probed so far (if any).
-        let (mut lo, mut hi) = (1usize, max_k);
-        let mut best = None;
-        while lo <= hi {
-            let mid = lo + (hi - lo) / 2;
-            let (d, s) = check_hd_with_stats(h, mid, req.opts);
-            stats.merge(&s);
-            match d {
-                Some(d) => {
-                    ctl.sink.report_upper(Rational::from(mid), Some(&d));
-                    best = Some((mid, d));
-                    if mid == lo {
-                        break;
-                    }
-                    hi = mid - 1;
-                }
-                None => {
-                    ctl.sink.report_lower(Rational::from(mid + 1));
-                    lo = mid + 1;
-                }
-            }
-        }
-        match best {
-            Some((w, d)) => Outcome::exact(self.id(), Rational::from(w), d, stats),
             None => Outcome::certified_no(self.id(), stats),
         }
     }

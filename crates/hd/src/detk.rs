@@ -33,8 +33,7 @@ pub fn check_hd(h: &Hypergraph, k: usize) -> Option<Decomposition> {
 
 /// As [`check_hd`], also reporting the engine counters of this check.
 /// `opts` pins the engine scheduling — `det-k-decomp` is a decision
-/// strategy, so it runs sequentially unless [`EngineOptions::speculate`]
-/// lets it race candidates across the worker pool.
+/// strategy, so it runs sequentially and stops at the first witness.
 ///
 /// Unless opted out (`opts.prep` / `HGTOOL_NO_PREP`), the instance first
 /// runs through `prep`'s *decision* profile — duplicate-edge and
@@ -55,14 +54,14 @@ pub fn check_hd_with_stats(
         "k={k};prep={};rp={};backend=auto",
         opts.prep, opts.reuse_prices
     );
-    let reuse = opts.reuse_results && !opts.speculate;
-    let (result, mut stats) = prep::cached_query(h, "result-hw-check", key, reuse, || {
-        let (result, stats) = prep::run_decision(h, opts.prep, |block| {
-            let (d, s) = check_hd_piece(block, k, opts);
-            (d.map(|d| ((), d)), s)
+    let (result, mut stats) =
+        prep::cached_query(h, "result-hw-check", key, opts.reuse_results, || {
+            let (result, stats) = prep::run_decision(h, opts.prep, |block| {
+                let (d, s) = check_hd_piece(block, k, opts);
+                (d.map(|d| ((), d)), s)
+            });
+            (result.map(|(_, d)| d), stats)
         });
-        (result.map(|(_, d)| d), stats)
-    });
     stats.pool_reuse = usize::from(warm);
     (result, stats)
 }
@@ -109,8 +108,7 @@ pub fn hypertree_width_with_stats(
         "max_k={max_k};prep={};rp={};backend=auto",
         opts.prep, opts.reuse_prices
     );
-    let reuse = opts.reuse_results && !opts.speculate;
-    let (result, mut stats) = prep::cached_query(h, "result-hw", key, reuse, || {
+    let (result, mut stats) = prep::cached_query(h, "result-hw", key, opts.reuse_results, || {
         // The prep pipeline (which is `k`-independent) runs once around
         // the whole iteration; every check searches the same reduced
         // block and only the final witness is lifted.

@@ -8,8 +8,7 @@
 //! because the two places that must *observe* the channel sit on either
 //! side of the engine: the strategy wrappers and the prepare→solve→lift
 //! plumbing in this crate report bounds and lift their witnesses, while
-//! the engine's cancellation scopes in `solver` poll the token between
-//! candidates.
+//! the engine in `solver` polls the token between candidates.
 //!
 //! The channel is *ambient*: [`with_ctl`] installs a control on the
 //! calling thread for the duration of a closure, and anything underneath —
@@ -76,8 +75,8 @@ impl CancelToken {
         CancelToken::build(None, Some(self.clone()))
     }
 
-    /// A child that additionally auto-cancels after `d` (the per-backend
-    /// deadline knob of the portfolio runner).
+    /// A child that additionally auto-cancels after `d` (request and
+    /// portfolio race deadlines).
     pub fn child_with_deadline(&self, d: Option<Duration>) -> Self {
         CancelToken::build(d.map(|d| Instant::now() + d), Some(self.clone()))
     }

@@ -16,7 +16,7 @@ use arith::Rational;
 /// shared cover-price cache deltas, the candidate-generator tallies and
 /// the preprocessing reduction counts on top.
 ///
-/// Deterministic: with speculation off (the default), every counter is
+/// Deterministic: every counter is
 /// identical at every thread count and across runs — states are evaluated
 /// exactly once (in-flight memo dedup) and candidates are admitted against
 /// per-round bound snapshots.

@@ -22,6 +22,22 @@
 //! | `GET /version`      | crate version + schema tags                      |
 //! | `POST /admin/drain` | graceful shutdown (stop accepting, drain, flush) |
 //!
+//! # Request knobs
+//!
+//! `/solve` and `/solve/batch` bodies share these optional fields:
+//!
+//! * `measure` — `widths` (default), `hw`, `ghw` or `fhw`;
+//! * `portfolio` — race each measure's backend registry instead of the
+//!   plain path: `iterate` for `hw`, `engine` + `elim` for `ghw` and
+//!   `fhw`. Widths are byte-identical to the plain path; the response
+//!   adds a `winners` object naming each race's winner;
+//! * `deadline_ms` — a non-negative integer; bounds the whole solve and
+//!   each portfolio race;
+//! * `max_hw` — an integer in `1..=64` (default 8);
+//! * `witness` — also render each width's witness decomposition.
+//!
+//! Non-integral `deadline_ms` or `max_hw` values are rejected with 400.
+//!
 //! # Concurrency model
 //!
 //! Connections are handled thread-per-connection with keep-alive, but

@@ -10,7 +10,7 @@ use crate::server::Shared;
 use hypertree_core::hypergraph::{parser, Hypergraph};
 use hypertree_core::prep::anytime::{interrupt, with_ctl, RunCtl};
 use hypertree_core::solver::backend::{Measure, WidthRequest};
-use hypertree_core::solver::portfolio::{race, PortfolioOptions, RaceReport};
+use hypertree_core::solver::portfolio::{race, RaceReport};
 use hypertree_core::{fhd, ghd, hd, solver};
 use obs::json::Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -81,8 +81,8 @@ impl SolveParams {
             Some(d) => {
                 let ms = d
                     .as_num()
-                    .filter(|n| *n >= 0.0)
-                    .ok_or("deadline_ms must be a non-negative number")?;
+                    .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+                    .ok_or("deadline_ms must be a non-negative integer")?;
                 Some(Duration::from_millis(ms as u64))
             }
         };
@@ -90,8 +90,8 @@ impl SolveParams {
             None => 8,
             Some(n) => n
                 .as_num()
-                .filter(|n| *n >= 1.0 && *n <= 64.0)
-                .ok_or("max_hw must be a number in 1..=64")? as usize,
+                .filter(|n| *n >= 1.0 && *n <= 64.0 && n.fract() == 0.0)
+                .ok_or("max_hw must be an integer in 1..=64")? as usize,
         };
         let witness = match v.get("witness") {
             None => false,
@@ -189,12 +189,12 @@ fn solve_plain(
 }
 
 /// The portfolio solve: each requested measure races its backend
-/// registry; first exact answer wins, losers are cancelled.
+/// registry under the request's deadline; first exact answer wins,
+/// losers are cancelled.
 fn solve_portfolio(
     h: &Hypergraph,
     p: &SolveParams,
     opts: solver::EngineOptions,
-    popts: &PortfolioOptions,
 ) -> Result<SolveBody, SolveFail> {
     let mut body = SolveBody {
         widths: Vec::new(),
@@ -215,7 +215,7 @@ fn solve_portfolio(
     for (name, measure) in measures {
         let backends = hypertree_core::backends_for(&measure);
         let req = WidthRequest { measure, opts };
-        let r: RaceReport = race(h, &req, &backends, popts);
+        let r: RaceReport = race(h, &req, &backends, p.deadline);
         let Some(width) = r.outcome.width.clone() else {
             return Err(if r.winner.is_some() {
                 // A certified "no" within the cutoff window.
@@ -250,11 +250,7 @@ fn solve_dispatch(
     opts: solver::EngineOptions,
 ) -> Result<SolveBody, SolveFail> {
     if p.portfolio {
-        let popts = PortfolioOptions {
-            deadline: p.deadline,
-            ..PortfolioOptions::from_env()
-        };
-        solve_portfolio(h, p, opts, &popts)
+        solve_portfolio(h, p, opts)
     } else {
         solve_plain(h, p, opts)
     }

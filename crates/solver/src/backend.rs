@@ -1,21 +1,20 @@
 //! The uniform `WidthRequest → Outcome` contract every width computation
 //! sits behind, plus the anytime [`Backend`] trait the portfolio races.
 //!
-//! The five strategy entry points in `hd`/`ghd`/`fhd` historically were
-//! five bespoke `_with_stats` functions with duplicated
-//! prepare→seed→solve→lift plumbing. This module gives them one shape:
+//! The three width measures' entry points in `hd`/`ghd`/`fhd` are
+//! bespoke `_with_stats` functions with their own prepare→seed→solve→lift
+//! plumbing. This module gives them one shape:
 //!
 //! * a [`WidthRequest`] names the measure and its parameters
 //!   ([`Measure`]) plus the [`EngineOptions`] to run under;
 //! * an [`Outcome`] carries the width (as an exact rational — integral
 //!   for `hw`/`ghw`), the witness decomposition, the engine counters, and
 //!   the *provenance* (which backend produced it);
-//! * a [`Backend`] is one way of resolving a request: the edge-union
-//!   engine search, the elimination DP, the subset-enumeration oracle,
-//!   or a heuristic-ub-then-refine ladder. Backends self-select via
-//!   [`Backend::eligible`] (vertex gates, `candgen::stream_size_bound`
-//!   admission) and run under a [`RunCtl`]: a [`CancelToken`] polled by
-//!   the engine's cancellation scopes and a [`BoundSink`] their anytime
+//! * a [`Backend`] is one way of resolving a request: the `det-k-decomp`
+//!   ladder, the edge-union engine search, or the elimination DP.
+//!   Backends self-select via [`Backend::eligible`] (vertex gates) and
+//!   run under a [`RunCtl`]: a [`CancelToken`] polled by
+//!   the engine and a [`BoundSink`] their anytime
 //!   lower/upper bounds flow into (each accepted upper bound
 //!   witness-backed, already lifted to the original instance).
 //!
@@ -60,24 +59,6 @@ pub enum Measure {
         /// Give up beyond this width.
         cutoff: Option<Rational>,
     },
-    /// The Algorithm 3 `frac-decomp(k, ε, c)` decision.
-    FracDecomp {
-        /// Width parameter `k`.
-        k: Rational,
-        /// Approximation slack `ε` (must be positive).
-        eps: Rational,
-        /// Multi-intersection arity `c`.
-        c: usize,
-    },
-    /// The Theorem 5.2 strict-HD `fhw ≤ k` check over `h_{d,k}` subedges.
-    StrictHd {
-        /// Width parameter `k`.
-        k: Rational,
-        /// `⋓` union arity of the subedge enumeration.
-        union_arity: usize,
-        /// Hard cap on generated subedges.
-        max_subedges: usize,
-    },
 }
 
 impl Measure {
@@ -87,8 +68,6 @@ impl Measure {
             Measure::Hw { .. } => "hw",
             Measure::Ghw { .. } => "ghw",
             Measure::Fhw { .. } => "fhw",
-            Measure::FracDecomp { .. } => "frac-decomp",
-            Measure::StrictHd { .. } => "strict-hd",
         }
     }
 }
@@ -104,8 +83,8 @@ pub struct WidthRequest {
     pub opts: EngineOptions,
 }
 
-/// Identifies a backend (stable, human-readable; used in cache keys,
-/// deadline env knobs and the bench `portfolio` block).
+/// Identifies a backend (stable, human-readable; used in cache keys and
+/// the bench `portfolio` block).
 pub type BackendId = &'static str;
 
 /// The result of one backend run.
@@ -114,8 +93,8 @@ pub struct Outcome {
     /// The exact width, when resolved affirmatively. Integral measures
     /// report integral rationals.
     pub width: Option<Rational>,
-    /// The witness decomposition certifying `width` (or the decision's
-    /// "yes"), lifted to the original instance.
+    /// The witness decomposition certifying `width`, lifted to the
+    /// original instance.
     pub witness: Option<Decomposition>,
     /// True when the backend produced a definitive answer: an exact
     /// width, or a certified "no"/"> cutoff" (`width == None`). False
@@ -137,18 +116,6 @@ impl Outcome {
     ) -> Self {
         Outcome {
             width: Some(width),
-            witness: Some(witness),
-            resolved: true,
-            stats,
-            provenance,
-        }
-    }
-
-    /// An accepted decision (`frac-decomp`, `strict-hd`): the witness
-    /// certifies "yes" but no exact width is claimed.
-    pub fn accepted(provenance: BackendId, witness: Decomposition, stats: SearchStats) -> Self {
-        Outcome {
-            width: None,
             witness: Some(witness),
             resolved: true,
             stats,
@@ -186,16 +153,15 @@ impl Outcome {
 /// request, same instance → same width; witnesses and counters must be
 /// deterministic at every thread count) and must poll
 /// `ctl.cancel` cooperatively — directly in their own loops, and
-/// implicitly through the engine's cancellation scopes whenever they run
+/// implicitly through the engine's cancellation checks whenever they run
 /// a search. A canceled run exits by [`interrupt::raise`] (the engine
 /// does this at its root) or by returning an
 /// [`Outcome::unresolved`]; it must never return a fabricated answer.
 pub trait Backend: Send + Sync {
-    /// Stable identifier (provenance, cache-key slot, deadline knob).
+    /// Stable identifier (provenance, cache-key slot).
     fn id(&self) -> BackendId;
 
-    /// Whether this backend can take on `h` (vertex gates, candidate-
-    /// space admission via `candgen::stream_size_bound`). The portfolio
+    /// Whether this backend can take on `h` (vertex gates). The portfolio
     /// only races eligible backends; registries order an always-eligible
     /// backend first so every request has a taker.
     fn eligible(&self, _h: &Hypergraph, _req: &WidthRequest) -> bool {
@@ -209,7 +175,7 @@ pub trait Backend: Send + Sync {
 }
 
 /// Runs `backend` under `ctl` installed as the calling thread's ambient
-/// control: the engine root anchors its cancellation scopes to
+/// control: the engine root anchors its cancellation checks to
 /// `ctl.cancel`, the prep pipeline lifts reported witnesses through
 /// `ctl.sink`, and the result-cache dedup makes the sink observable to
 /// waiters. On an exact answer the bounds are closed

@@ -1,26 +1,24 @@
-//! The portfolio runner: race several [`Backend`]s per request, first
-//! exact answer wins, losers are cancelled through the engine's
-//! `CancelScope` chains, and best-so-far anytime bounds are what you get
+//! The portfolio runner: race the backends that win per request, first
+//! exact answer wins, losers are cancelled through their
+//! [`CancelToken`]s, and best-so-far anytime bounds are what you get
 //! when everything times out.
 //!
 //! No single width algorithm dominates on real corpora (the HyperBench
-//! observation): the edge-union engine wins on large sparse instances,
-//! the elimination DP on small dense ones, the subset oracle on tiny
-//! ones, and a heuristic upper bound is often all a caller needs
-//! quickly. [`race`] runs 2–4 eligible backends concurrently — each on
-//! its own thread, all multiplexing the shared worker pool underneath —
+//! observation): on the hard tier the edge-union engine wins the large
+//! sparse `ghw`/`fhw` instances and the elimination DP the small dense
+//! ones. [`race`] runs the eligible backends concurrently — each on its
+//! own thread, all multiplexing the shared worker pool underneath —
 //! under one merged [`BoundSink`], with:
 //!
 //! * **admission**: only [`Backend::eligible`] members race (vertex
-//!   gates, `candgen::stream_size_bound` candidate-space admission), at
-//!   most [`PortfolioOptions::max_backends`] of them;
-//! * **deadlines**: a global deadline ([`DEADLINE_ENV`], milliseconds)
-//!   and per-backend knobs (`HGTOOL_DEADLINE_<ID>_MS`, or programmatic
-//!   [`PortfolioOptions::backend_deadlines`]) armed on each backend's
-//!   [`CancelToken`] — deadline expiry *is* cancellation;
+//!   gates); a lone admitted member runs inline on the calling thread;
+//! * **deadline**: one deadline for the whole race (callers read
+//!   [`DEADLINE_ENV`], milliseconds, via [`deadline_from_env`]) armed on
+//!   the race's root [`CancelToken`] — deadline expiry *is*
+//!   cancellation;
 //! * **loser cancellation**: the first backend to return a resolved
 //!   outcome cancels every sibling token; the engine roots observe the
-//!   token through their anchored cancellation scopes, unwind, and
+//!   token they anchored, unwind, and
 //!   abandon their result-cache claims on the way out. [`race`] joins
 //!   every backend thread before returning, so no portfolio work — pool
 //!   rounds included — survives the race;
@@ -31,63 +29,17 @@
 use crate::backend::{execute, Backend, BackendId, Bounds, Outcome, WidthRequest};
 use hypergraph::Hypergraph;
 use prep::anytime::{self, interrupt, BoundEvent, BoundSink, CancelToken, RunCtl};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Environment variable: global portfolio deadline in milliseconds.
 pub const DEADLINE_ENV: &str = "HGTOOL_DEADLINE_MS";
 
-/// How many eligible backends one race admits by default.
-const DEFAULT_MAX_BACKENDS: usize = 4;
-
-/// Tuning knobs of one portfolio race.
-#[derive(Clone, Debug)]
-pub struct PortfolioOptions {
-    /// Global deadline for the whole race (all backends).
-    pub deadline: Option<Duration>,
-    /// Per-backend deadlines by [`BackendId`]; backends not listed fall
-    /// back to their `HGTOOL_DEADLINE_<ID>_MS` env knob, then to no
-    /// per-backend deadline.
-    pub backend_deadlines: Vec<(BackendId, Duration)>,
-    /// At most this many eligible backends race (the rest are dropped in
-    /// registry order). Clamped to at least 1.
-    pub max_backends: usize,
-}
-
-impl Default for PortfolioOptions {
-    fn default() -> Self {
-        PortfolioOptions {
-            deadline: None,
-            backend_deadlines: Vec::new(),
-            max_backends: DEFAULT_MAX_BACKENDS,
-        }
-    }
-}
-
-impl PortfolioOptions {
-    /// Options with the global deadline taken from [`DEADLINE_ENV`]
-    /// (milliseconds; absent or unparsable means no deadline).
-    pub fn from_env() -> Self {
-        PortfolioOptions {
-            deadline: env_millis(DEADLINE_ENV),
-            ..PortfolioOptions::default()
-        }
-    }
-
-    /// The effective deadline for one backend: the programmatic entry,
-    /// else its `HGTOOL_DEADLINE_<ID>_MS` env knob (id upper-cased,
-    /// `-` → `_`).
-    fn backend_deadline(&self, id: BackendId) -> Option<Duration> {
-        if let Some((_, d)) = self.backend_deadlines.iter().find(|(b, _)| *b == id) {
-            return Some(*d);
-        }
-        let knob = format!("HGTOOL_DEADLINE_{}_MS", id.to_uppercase().replace('-', "_"));
-        env_millis(&knob)
-    }
-}
-
-fn env_millis(var: &str) -> Option<Duration> {
-    std::env::var(var)
+/// The race deadline from [`DEADLINE_ENV`] (absent or unparsable means
+/// no deadline).
+pub fn deadline_from_env() -> Option<Duration> {
+    std::env::var(DEADLINE_ENV)
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
         .map(Duration::from_millis)
@@ -119,15 +71,16 @@ pub struct RaceReport {
 /// Races `backends` on `h`: eligible members run concurrently (each
 /// backend's root on its own thread; their searches multiplex the shared
 /// worker pool), the first resolved answer cancels the rest, and every
-/// backend thread is joined before this returns. If the caller itself
-/// runs under an ambient [`RunCtl`], the race chains to it: the caller's
-/// cancellation reaches every member, and the merged bounds forward to
-/// the caller's sink.
+/// backend thread is joined before this returns. A single admitted member
+/// runs inline on the calling thread. If the caller itself runs under an
+/// ambient [`RunCtl`], the race chains to it: the caller's cancellation
+/// reaches every member, and the merged bounds forward to the caller's
+/// sink.
 pub fn race(
     h: &Hypergraph,
     req: &WidthRequest,
     backends: &[Box<dyn Backend>],
-    opts: &PortfolioOptions,
+    deadline: Option<Duration>,
 ) -> RaceReport {
     assert!(
         !backends.is_empty(),
@@ -144,7 +97,6 @@ pub fn race(
         // request still gets a definitive attempt.
         admitted.push(backends[0].as_ref());
     }
-    admitted.truncate(opts.max_backends.max(1));
     let raced: Vec<BackendId> = admitted.iter().map(|b| b.id()).collect();
     let race_span = obs::span!("race", measure = req.measure.name(), backends = raced.len());
 
@@ -153,70 +105,70 @@ pub fn race(
         sink.attach(outer);
     }
     let root = match anytime::current_cancel() {
-        Some(t) => t.child_with_deadline(opts.deadline),
-        None => match opts.deadline {
+        Some(t) => t.child_with_deadline(deadline),
+        None => match deadline {
             Some(d) => CancelToken::with_deadline(d),
             None => CancelToken::new(),
         },
     };
-    let tokens: Vec<CancelToken> = admitted
-        .iter()
-        .map(|b| root.child_with_deadline(opts.backend_deadline(b.id())))
-        .collect();
+    let tokens: Vec<CancelToken> = admitted.iter().map(|_| root.child()).collect();
 
     let start = Instant::now();
     // First resolved answer wins; the mutex is the tiebreak.
     let winner: Mutex<Option<(usize, Outcome, Duration)>> = Mutex::new(None);
-    let mut canceled = 0usize;
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = admitted
-            .iter()
-            .enumerate()
-            .map(|(i, backend)| {
-                let ctl = RunCtl {
-                    cancel: tokens[i].clone(),
-                    sink: sink.clone(),
-                };
-                let winner = &winner;
-                let tokens = &tokens;
-                scope.spawn(move || {
-                    // A cancelled loser unwinds out of `execute`; the span
-                    // guard still closes (Drop runs during unwinds), it just
-                    // never gets its `resolved`/`won` fields.
-                    let span = obs::span!("backend", id = backend.id());
-                    let outcome = execute(*backend, h, req, &ctl);
-                    if let Some(span) = span.as_ref() {
-                        span.record("resolved", outcome.resolved);
+    let member = |i: usize| {
+        let backend = admitted[i];
+        let ctl = RunCtl {
+            cancel: tokens[i].clone(),
+            sink: sink.clone(),
+        };
+        // A cancelled loser unwinds out of `execute`; the span guard
+        // still closes (Drop runs during unwinds), it just never gets its
+        // `resolved`/`won` fields.
+        let span = obs::span!("backend", id = backend.id());
+        let outcome = execute(backend, h, req, &ctl);
+        if let Some(span) = span.as_ref() {
+            span.record("resolved", outcome.resolved);
+        }
+        if outcome.resolved {
+            let mut w = winner.lock().expect("portfolio winner poisoned");
+            if w.is_none() {
+                *w = Some((i, outcome, start.elapsed()));
+                drop(w);
+                if let Some(span) = span.as_ref() {
+                    span.record("won", true);
+                }
+                for (j, t) in tokens.iter().enumerate() {
+                    if j != i {
+                        t.cancel();
                     }
-                    if outcome.resolved {
-                        let mut w = winner.lock().expect("portfolio winner poisoned");
-                        if w.is_none() {
-                            *w = Some((i, outcome, start.elapsed()));
-                            drop(w);
-                            if let Some(span) = span.as_ref() {
-                                span.record("won", true);
-                            }
-                            for (j, t) in tokens.iter().enumerate() {
-                                if j != i {
-                                    t.cancel();
-                                }
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                if interrupt::is_interrupt(payload.as_ref()) {
-                    canceled += 1;
-                } else {
-                    std::panic::resume_unwind(payload);
                 }
             }
         }
-    });
+    };
+    let results: Vec<std::thread::Result<()>> = if admitted.len() == 1 {
+        vec![catch_unwind(AssertUnwindSafe(|| member(0)))]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..admitted.len())
+                .map(|i| {
+                    let member = &member;
+                    scope.spawn(move || member(i))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        })
+    };
+    let mut canceled = 0usize;
+    for result in results {
+        if let Err(payload) = result {
+            if interrupt::is_interrupt(payload.as_ref()) {
+                canceled += 1;
+            } else {
+                resume_unwind(payload);
+            }
+        }
+    }
 
     let won = winner.into_inner().expect("portfolio winner poisoned");
     if let Some(span) = race_span.as_ref() {
@@ -337,7 +289,7 @@ mod tests {
         let h = generators::cycle(4);
         let backends: Vec<Box<dyn Backend>> = vec![Box::new(Slow), Box::new(Fast)];
         let started = Instant::now();
-        let report = race(&h, &request(), &backends, &PortfolioOptions::default());
+        let report = race(&h, &request(), &backends, None);
         assert!(
             started.elapsed() < Duration::from_secs(10),
             "the racer returned long before the slow backend's horizon"
@@ -351,20 +303,6 @@ mod tests {
         assert_eq!(report.bounds.lower, report.bounds.upper);
         assert!(report.time_to_exact.is_some());
         assert!(report.time_to_first_bound.is_some());
-    }
-
-    #[test]
-    fn per_backend_deadline_cancels_a_stuck_member() {
-        let h = generators::cycle(4);
-        let backends: Vec<Box<dyn Backend>> = vec![Box::new(Slow)];
-        let opts = PortfolioOptions {
-            backend_deadlines: vec![("slow", Duration::from_millis(20))],
-            ..PortfolioOptions::default()
-        };
-        let report = race(&h, &request(), &backends, &opts);
-        assert_eq!(report.winner, None);
-        assert!(!report.outcome.resolved);
-        assert_eq!(report.canceled, 1, "deadline expiry is cancellation");
     }
 
     #[test]
@@ -386,11 +324,7 @@ mod tests {
             }
         }
         let backends: Vec<Box<dyn Backend>> = vec![Box::new(Bounder)];
-        let opts = PortfolioOptions {
-            deadline: Some(Duration::from_millis(25)),
-            ..PortfolioOptions::default()
-        };
-        let report = race(&h, &request(), &backends, &opts);
+        let report = race(&h, &request(), &backends, Some(Duration::from_millis(25)));
         assert_eq!(report.winner, None);
         assert_eq!(report.bounds.upper, Some(Rational::from(3usize)));
         assert!(
@@ -403,8 +337,37 @@ mod tests {
     fn ineligible_backends_are_not_raced() {
         let h = generators::cycle(4);
         let backends: Vec<Box<dyn Backend>> = vec![Box::new(Picky), Box::new(Fast)];
-        let report = race(&h, &request(), &backends, &PortfolioOptions::default());
+        let report = race(&h, &request(), &backends, None);
         assert_eq!(report.raced, vec!["fast"]);
         assert_eq!(report.winner, Some("fast"));
+    }
+
+    #[test]
+    fn a_lone_member_runs_on_the_calling_thread() {
+        /// Resolves with width 1 only on the thread that started the race.
+        struct Inline(std::thread::ThreadId);
+        impl Backend for Inline {
+            fn id(&self) -> BackendId {
+                "inline"
+            }
+            fn run(&self, _h: &Hypergraph, _req: &WidthRequest, _ctl: &RunCtl) -> Outcome {
+                assert_eq!(std::thread::current().id(), self.0, "ran on a race thread");
+                Outcome::exact(
+                    self.id(),
+                    Rational::one(),
+                    trivial_witness(),
+                    crate::SearchStats::default(),
+                )
+            }
+        }
+        let h = generators::cycle(4);
+        let backends: Vec<Box<dyn Backend>> = vec![
+            Box::new(Inline(std::thread::current().id())),
+            Box::new(Picky),
+        ];
+        let report = race(&h, &request(), &backends, None);
+        assert_eq!(report.raced, vec!["inline"]);
+        assert_eq!(report.winner, Some("inline"));
+        assert_eq!(report.canceled, 0);
     }
 }

@@ -21,11 +21,10 @@
 //!                                     upper bounds + witnesses without any
 //!                                     exact search (any instance size),
 //!                                     --portfolio races each width's
-//!                                     backend registry (engine / elim DP /
-//!                                     subset oracle / seed-refine), first
+//!                                     backend registry (hw: iterate;
+//!                                     ghw/fhw: engine + elim DP), first
 //!                                     exact answer wins, losers cancelled;
-//!                                     honors HGTOOL_DEADLINE_MS and
-//!                                     per-backend HGTOOL_DEADLINE_<ID>_MS;
+//!                                     HGTOOL_DEADLINE_MS bounds each race;
 //!                                     --trace prints the span tree + phase
 //!                                     totals, --trace-json <file> writes
 //!                                     the hgtool-trace/v1 JSONL stream,
@@ -667,19 +666,17 @@ fn widths(
 
 /// `hgtool widths --portfolio`: each width measure races its backend
 /// registry — first exact answer wins, losers are cancelled through the
-/// engine's cancellation scopes — and the winner column names who won.
-/// `HGTOOL_DEADLINE_MS` (global) and `HGTOOL_DEADLINE_<ID>_MS`
-/// (per-backend) arm the race deadlines; on a total timeout the best
+/// engine's cancellation token — and the winner column names who won.
+/// `HGTOOL_DEADLINE_MS` arms each race's deadline; on a timeout the best
 /// witnessed bounds any member achieved are printed instead.
 fn widths_portfolio(h: &Hypergraph, stats: bool, no_prep: bool) -> Result<(), String> {
     use hypertree::solver::backend::{Measure, WidthRequest};
-    use hypertree::solver::portfolio::{race, PortfolioOptions, RaceReport};
+    use hypertree::solver::portfolio::{deadline_from_env, race, RaceReport};
     let mut opts = EngineOptions::default();
     if no_prep {
         opts = opts.without_prep();
         opts.reuse_prices = false;
     }
-    let popts = PortfolioOptions::from_env();
     // Per-measure races rather than `exact_widths_portfolio`: like the
     // plain path, each width degrades to `n/a` (or its best bounds)
     // independently instead of failing the whole command.
@@ -692,7 +689,7 @@ fn widths_portfolio(h: &Hypergraph, stats: bool, no_prep: bool) -> Result<(), St
     .map(|(name, measure)| {
         let backends = hypertree::backends_for(&measure);
         let req = WidthRequest { measure, opts };
-        (name, race(h, &req, &backends, &popts))
+        (name, race(h, &req, &backends, deadline_from_env()))
     })
     .collect();
     for (name, r) in &races {
@@ -755,19 +752,18 @@ fn fmt_micros(d: Option<std::time::Duration>) -> String {
 /// every instance's three measures race their registries; the winners
 /// column names who won each race.
 fn widths_portfolio_batch(files: &[String], stats: bool, no_prep: bool) -> Result<(), String> {
-    use hypertree::solver::portfolio::PortfolioOptions;
     let mut opts = EngineOptions::default();
     if no_prep {
         opts = opts.without_prep();
         opts.reuse_prices = false;
         opts.reuse_results = false;
     }
-    let popts = PortfolioOptions::from_env();
+    let deadline = hypertree::solver::portfolio::deadline_from_env();
     let mut instances = Vec::with_capacity(files.len());
     for f in files {
         instances.push(load(f)?);
     }
-    let results = hypertree::exact_widths_portfolio_batch(&instances, 8, opts, &popts);
+    let results = hypertree::exact_widths_portfolio_batch(&instances, 8, opts, deadline);
     let name_width = files.iter().map(|f| f.len()).max().unwrap_or(0);
     for (file, result) in files.iter().zip(&results) {
         match result {

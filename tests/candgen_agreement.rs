@@ -37,7 +37,6 @@ fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
 fn opts() -> EngineOptions {
     EngineOptions {
         threads: None,
-        speculate: false,
         prep: true,
         reuse_prices: false,
         reuse_results: false,

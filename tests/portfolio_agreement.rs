@@ -1,23 +1,26 @@
-//! Agreement suite for the backend portfolio: racing a strategy's full
-//! backend registry must be indistinguishable — width for width, witness
+//! Agreement suite for the backend portfolio: racing a measure's backend
+//! registry must be indistinguishable — width for width, witness
 //! validity for witness validity — from running any single backend alone,
-//! across all five strategies. Also checks the anytime contract: the
-//! merged bound trace is monotone (lower bounds nondecreasing, upper
-//! bounds nonincreasing), every race that ends in an exact answer closes
-//! its bounds at `lb == ub == width`, and the winner's witness
-//! re-validates on the original instance.
+//! for `hw`, `ghw` and `fhw`, and must match the independent
+//! subset-enumeration oracles on the instances they reach. Also checks
+//! the anytime contract: the merged bound trace is monotone (lower bounds
+//! nondecreasing, upper bounds nonincreasing), every race that ends in an
+//! exact answer closes its bounds at `lb == ub == width`, and the
+//! winner's witness re-validates on the original instance.
 //!
 //! Runs in the `HGTOOL_THREADS={1,4}` CI matrix (plus a dedicated
 //! 8-thread step): backends inherit the engine's thread-count
 //! determinism, so the race's *answers* are schedule-independent even
 //! though the *winner* is not.
 
-use hypertree::arith::{rat, Rational};
+use hypertree::arith::Rational;
 use hypertree::decomp::validate;
 use hypertree::hypergraph::{generators, Hypergraph};
+use hypertree::solver::backend::BackendId;
 use hypertree::solver::backend::{execute, BoundEvent, Measure, Outcome, RunCtl, WidthRequest};
-use hypertree::solver::portfolio::{race, PortfolioOptions, RaceReport};
-use hypertree::solver::EngineOptions;
+use hypertree::solver::portfolio::{race, RaceReport};
+use hypertree::solver::{EngineOptions, MAX_SUBSET_ORACLE_VERTICES};
+use hypertree::{fhd, ghd};
 use proptest::prelude::*;
 
 /// Random small hypergraphs, the same families as the other agreement
@@ -88,6 +91,11 @@ fn assert_anytime_contract(r: &RaceReport) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Whether the subset-enumeration oracles routinely reach `h`.
+fn oracle_eligible(h: &Hypergraph) -> bool {
+    h.num_vertices() <= MAX_SUBSET_ORACLE_VERTICES
+}
+
 /// Portfolio width == every solo backend's width (on the instances where
 /// that backend resolves), for the three minimizing measures.
 fn assert_width_agreement(
@@ -96,7 +104,7 @@ fn assert_width_agreement(
 ) -> Result<(RaceReport, Vec<Outcome>), TestCaseError> {
     let req = request(measure);
     let backends = hypertree::backends_for(&req.measure);
-    let report = race(h, &req, &backends, &PortfolioOptions::default());
+    let report = race(h, &req, &backends, None);
     let solos = solo_outcomes(h, &req);
     for solo in &solos {
         if solo.resolved {
@@ -122,8 +130,8 @@ proptest! {
         if let (Some(w), Some(d)) = (&report.outcome.width, &report.outcome.witness) {
             prop_assert_eq!(validate::validate_hd(&h, d), Ok(()), "portfolio hw witness");
             prop_assert!(d.width() <= *w);
-            // Both hw backends probe the same deterministic check at the
-            // minimal k, so even the witnesses are byte-identical.
+            // The race runs the same deterministic ladder as the solo
+            // backend, so even the witnesses are byte-identical.
             for solo in &solos {
                 if solo.resolved {
                     prop_assert_eq!(solo.witness.as_ref(), Some(d),
@@ -136,6 +144,10 @@ proptest! {
     #[test]
     fn ghw_portfolio_agrees_with_every_backend(h in arb_hypergraph()) {
         let (report, solos) = assert_width_agreement(&h, Measure::Ghw { cutoff: None })?;
+        if oracle_eligible(&h) {
+            let oracle = ghd::ghw_exact_subset_oracle(&h, None).map(|(w, _)| Rational::from(w));
+            prop_assert_eq!(&report.outcome.width, &oracle, "portfolio vs ghw oracle on {:?}", h);
+        }
         if let (Some(w), Some(d)) = (&report.outcome.width, &report.outcome.witness) {
             prop_assert_eq!(validate::validate_ghd(&h, d), Ok(()), "portfolio ghw witness");
             prop_assert!(d.width() <= *w);
@@ -153,6 +165,10 @@ proptest! {
     #[test]
     fn fhw_portfolio_agrees_with_every_backend(h in arb_hypergraph()) {
         let (report, solos) = assert_width_agreement(&h, Measure::Fhw { cutoff: None })?;
+        if oracle_eligible(&h) {
+            let oracle = fhd::fhw_exact_subset_oracle(&h, None).map(|(w, _)| w);
+            prop_assert_eq!(&report.outcome.width, &oracle, "portfolio vs fhw oracle on {:?}", h);
+        }
         if let (Some(w), Some(d)) = (&report.outcome.width, &report.outcome.witness) {
             prop_assert_eq!(validate::validate_fhd(&h, d), Ok(()), "portfolio fhw witness");
             prop_assert!(d.width() <= *w);
@@ -164,62 +180,18 @@ proptest! {
             }
         }
     }
+}
 
-    #[test]
-    fn frac_decomp_portfolio_agrees(h in arb_hypergraph()) {
-        // k = 2, eps = 1/2: accepted witnesses must be width <= 5/2.
-        let measure = Measure::FracDecomp { k: rat(2, 1), eps: rat(1, 2), c: 2 };
-        let req = request(measure);
-        let backends = hypertree::backends_for(&req.measure);
-        let report = race(&h, &req, &backends, &PortfolioOptions::default());
-        let solos = solo_outcomes(&h, &req);
-        for solo in &solos {
-            if solo.resolved && report.outcome.resolved {
-                // Accept/reject must agree: acceptance is one-sided
-                // monotone, and the noprep member maps its weaker reject
-                // to unresolved, so a resolved disagreement is a bug.
-                prop_assert_eq!(
-                    report.outcome.witness.is_some(),
-                    solo.witness.is_some(),
-                    "frac-decomp accept/reject diverged for {} on {:?}",
-                    solo.provenance,
-                    h
-                );
-            }
-        }
-        if let Some(d) = &report.outcome.witness {
-            prop_assert_eq!(validate::validate_fhd(&h, d), Ok(()), "frac-decomp witness");
-            prop_assert!(d.width() <= rat(5, 2), "width respects k + eps");
-        }
-        assert_anytime_contract(&report)?;
-    }
-
-    #[test]
-    fn strict_hd_portfolio_agrees(h in arb_hypergraph()) {
-        let measure = Measure::StrictHd {
-            k: rat(2, 1),
-            union_arity: 3,
-            max_subedges: 200_000,
-        };
-        let req = request(measure);
-        let backends = hypertree::backends_for(&req.measure);
-        let report = race(&h, &req, &backends, &PortfolioOptions::default());
-        let solos = solo_outcomes(&h, &req);
-        for solo in &solos {
-            if solo.resolved && report.outcome.resolved {
-                prop_assert_eq!(
-                    report.outcome.witness.is_some(),
-                    solo.witness.is_some(),
-                    "strict-hd yes/no diverged for {} on {:?}",
-                    solo.provenance,
-                    h
-                );
-            }
-        }
-        if let Some(d) = &report.outcome.witness {
-            prop_assert_eq!(validate::validate_fhd(&h, d), Ok(()), "strict-hd witness");
-            prop_assert!(d.width() <= rat(2, 1), "width respects k");
-        }
-        assert_anytime_contract(&report)?;
-    }
+/// The registries race exactly the members that win on the hard tier.
+#[test]
+fn registries_race_the_winning_backends() {
+    let ids = |measure: Measure| -> Vec<BackendId> {
+        hypertree::backends_for(&measure)
+            .iter()
+            .map(|b| b.id())
+            .collect()
+    };
+    assert_eq!(ids(Measure::Hw { max_k: 6 }), ["iterate"]);
+    assert_eq!(ids(Measure::Ghw { cutoff: None }), ["engine", "elim"]);
+    assert_eq!(ids(Measure::Fhw { cutoff: None }), ["engine", "elim"]);
 }

@@ -48,6 +48,20 @@ fn wait_ready(server: &Server) {
     }
 }
 
+/// Every backend id in the `"winners":{...}` objects of `resp`.
+fn winners_of(resp: &str) -> Vec<String> {
+    resp.match_indices("\"winners\":{")
+        .flat_map(|(at, key)| {
+            let rest = &resp[at + key.len()..];
+            let object = &rest[..rest.find('}').expect("winners object closes")];
+            object.split(',').map(|pair| {
+                let (_, id) = pair.split_once(':').expect("winner pair");
+                id.trim_matches('"').to_string()
+            })
+        })
+        .collect()
+}
+
 /// Value of the first `/metrics` line starting with `prefix`.
 fn metric_value(text: &str, prefix: &str) -> Option<f64> {
     text.lines()
@@ -156,8 +170,52 @@ fn serve_end_to_end() {
     assert!(metrics.contains("hgtool_serve_ready 1"));
     assert!(metrics.contains("hgtool_serve_admission_wait_seconds_bucket"));
 
+    // The portfolio path: the same widths objects, byte for byte, and
+    // every race won by a registered member.
+    let registered = ["iterate", "engine", "elim"];
+    let check_winners = |resp: &str, races: usize| {
+        let winners = winners_of(resp);
+        assert_eq!(winners.len(), races, "one winner per race in {resp}");
+        for w in &winners {
+            assert!(registered.contains(&w.as_str()), "winner {w} in {resp}");
+        }
+    };
+    for (name, text, expected) in &corpus {
+        let body = format!(
+            "{{\"hypergraph\":{},\"measure\":\"widths\",\"portfolio\":true}}",
+            serve::http::json_escape(text)
+        );
+        let (status, resp) =
+            http_call(&mut main_stream, "POST", "/solve", Some(&body)).expect("portfolio call");
+        assert_eq!(status, 200, "{name}: {resp}");
+        let prefix = format!("{{\"widths\":{expected},\"cached\":");
+        assert!(
+            resp.starts_with(&prefix),
+            "{name}: portfolio response {resp} does not open with {prefix}"
+        );
+        check_winners(&resp, 3);
+    }
+    let port_batch = format!(
+        "{{\"instances\":[{}],\"portfolio\":true}}",
+        batch_rows.join(",")
+    );
+    let (status, resp) = http_call(&mut main_stream, "POST", "/solve/batch", Some(&port_batch))
+        .expect("portfolio batch call");
+    assert_eq!(status, 200, "{resp}");
+    for (name, _, expected) in &corpus {
+        let row = format!(
+            "{{\"name\":{},\"widths\":{expected},\"cached\":",
+            serve::http::json_escape(name)
+        );
+        assert!(
+            resp.contains(&row),
+            "portfolio batch misses {row} in {resp}"
+        );
+    }
+    check_winners(&resp, 3 * corpus.len());
+
     // Error paths: malformed body, unknown route, wrong method, bad
-    // measure, oversized body.
+    // measure, non-integral knobs, oversized body.
     let (status, resp) =
         http_call(&mut main_stream, "POST", "/solve", Some("{not json")).expect("bad json");
     assert_eq!(status, 400, "{resp}");
@@ -174,6 +232,12 @@ fn serve_end_to_end() {
     )
     .expect("bad measure");
     assert_eq!(status, 400, "{resp}");
+    for knob in ["\"max_hw\":3.5", "\"deadline_ms\":0.5"] {
+        let body = format!("{{\"hypergraph\":\"e(a,b)\",{knob}}}");
+        let (status, resp) =
+            http_call(&mut main_stream, "POST", "/solve", Some(&body)).expect("fractional knob");
+        assert_eq!(status, 400, "{knob}: {resp}");
+    }
     // Oversized: the server 413s off the Content-Length header alone,
     // so announce a huge body and read the reply without sending it.
     let mut big = TcpStream::connect(&addr).expect("connect");

@@ -111,25 +111,6 @@ proptest! {
             }
         }
     }
-
-    /// Speculative decision searches (candidates racing across the pool
-    /// with sibling cancellation) must return the same yes/no answer as
-    /// the sequential engine, with a valid witness.
-    #[test]
-    fn speculative_hw_agrees_with_sequential(h in arb_hypergraph()) {
-        let seq = hd::hypertree_width(&h, 4).map(|(w, _)| w);
-        let spec_opts = EngineOptions::with_threads(4).speculative();
-        let mut spec = None;
-        for k in 1..=4 {
-            let (d, _) = hd::check_hd_with_stats(&h, k, spec_opts);
-            if let Some(d) = d {
-                prop_assert_eq!(validate::validate_hd(&h, &d), Ok(()), "{}", d.render(&h));
-                spec = Some(k);
-                break;
-            }
-        }
-        prop_assert_eq!(seq, spec, "sequential vs speculative det-k-decomp on {:?}", h);
-    }
 }
 
 proptest! {
@@ -153,28 +134,15 @@ proptest! {
         }
         let engine = fhd::check_fhd_bdp(&h, &k, fhd::HdkParams::default());
         let legacy = fhd::check_fhd_bdp_legacy(&h, &k, fhd::HdkParams::default());
-        // The speculative strict-HD search races separator guesses with
-        // sibling cancellation; its yes/no must match both.
-        let (spec, _) = fhd::check_fhd_bdp_with_stats(
-            &h,
-            &k,
-            fhd::HdkParams::default(),
-            EngineOptions::with_threads(4).speculative(),
-        );
         prop_assert_eq!(
             engine.is_yes(),
             legacy.is_yes(),
             "engine vs legacy at k = {} on {:?}", k, h
         );
-        prop_assert_eq!(
-            spec.is_yes(),
-            legacy.is_yes(),
-            "speculative vs legacy at k = {} on {:?}", k, h
-        );
         if !below {
             prop_assert!(engine.is_yes(), "strict check must accept fhw = {}", fhw);
         }
-        for (name, ans) in [("engine", &engine), ("legacy", &legacy), ("speculative", &spec)] {
+        for (name, ans) in [("engine", &engine), ("legacy", &legacy)] {
             if let Some(d) = ans.decomposition() {
                 prop_assert_eq!(validate::validate_fhd(&h, &d.clone()), Ok(()), "{}", name);
                 prop_assert!(d.width() <= k, "{} witness exceeds {}", name, k);
@@ -287,29 +255,4 @@ fn fhw_price_cache_dedups_identical_bags() {
     // 2^6 - 1 subset bags exist per full component; far fewer LPs may run
     // thanks to the bound gate, and none twice.
     assert!(stats.price_misses > 0);
-}
-
-/// Speculative Algorithm 3 (frac-decomp) must accept and reject exactly
-/// like the sequential engine, with a validating witness.
-#[test]
-fn speculative_frac_decomp_agrees_with_sequential() {
-    let spec = EngineOptions::with_threads(4).speculative();
-    let h = generators::cycle(3);
-    let accept = fhd::FracDecompParams {
-        k: Rational::one(),
-        eps: rat(1, 2),
-        c: 3,
-    };
-    let (d, stats) = fhd::frac_decomp_with_stats(&h, &accept, spec);
-    let d = d.expect("fhw(C3) = 3/2 fits the 3/2 budget");
-    assert_eq!(validate::validate_fhd(&h, &d), Ok(()), "{}", d.render(&h));
-    assert!(d.width() <= rat(3, 2));
-    assert!(stats.states > 0);
-    let reject = fhd::FracDecompParams {
-        k: Rational::one(),
-        eps: rat(1, 3),
-        c: 3,
-    };
-    let (none, _) = fhd::frac_decomp_with_stats(&h, &reject, spec);
-    assert!(none.is_none(), "4/3 budget must still be rejected");
 }
