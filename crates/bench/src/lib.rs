@@ -42,26 +42,10 @@ pub fn corpus() -> Vec<Workload> {
     out
 }
 
-/// The 19–30-vertex scaling corpus: instances beyond the old 18-vertex
-/// subset-search wall, exercising the candgen edge-union engine
-/// (`cycle(26)` also exceeds the 24-vertex elimination-DP window — it was
-/// a hard `None` before candgen), the seeded DP window and the per-block
-/// pipeline at scale. Recorded by the `baseline` bin alongside
-/// [`corpus`]; kept separate so the small-instance test suites don't
-/// inherit the larger runtimes.
-pub fn large_corpus() -> Vec<Workload> {
-    vec![
-        w("cycle(20)", generators::cycle(20)),
-        w("grid(2x10)", generators::grid(2, 10)),
-        w("triangles(10)", generators::triangle_chain(10)),
-        w("cycle(26)", generators::cycle(26)),
-    ]
-}
-
 /// The vendored HyperBench-style corpus (`examples/data/corpus/`): small
 /// CQ/CSP-shaped instances with genuinely mixed portfolio winners, baked
-/// into the binary so offline CI can smoke-test `--portfolio` and the
-/// baseline's `portfolio` block without network access.
+/// into the binary so `hgtool loadgen` and the serve tests carry it
+/// without reading files.
 pub fn vendored_corpus() -> Vec<Workload> {
     let files: [(&str, &str); 8] = [
         (

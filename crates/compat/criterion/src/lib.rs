@@ -7,15 +7,11 @@
 //! simple wall-clock measurement loop instead of criterion's statistics.
 //!
 //! Results print one line per benchmark
-//! (`group/id  time: <mean> (<iters> iters)`) and, when the
-//! `CRITERION_JSON` environment variable names a file, are appended to it as
-//! JSON lines `{"id": ..., "mean_ns": ..., "iters": ...}` — which is what
-//! the `BENCH_baseline.json` harness consumes.
+//! (`group/id  time: <mean> (<iters> iters)`).
 
 #![forbid(unsafe_code)]
 
 use std::fmt::Display;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// Prevents the optimizer from discarding a value (forwards to `std::hint`).
@@ -231,21 +227,6 @@ fn run_bench<F: FnMut(&mut Bencher)>(
     match b.result {
         Some((mean_ns, iters)) => {
             println!("{id:<50} time: {:>12} ({iters} iters)", format_ns(mean_ns));
-            if let Ok(path) = std::env::var("CRITERION_JSON") {
-                if let Ok(mut file) = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                {
-                    let _ = writeln!(
-                        file,
-                        "{{\"id\": \"{}\", \"mean_ns\": {:.1}, \"iters\": {}}}",
-                        id.replace('"', "'"),
-                        mean_ns,
-                        iters
-                    );
-                }
-            }
         }
         None => println!("{id:<50} (no measurement: closure never called iter)"),
     }

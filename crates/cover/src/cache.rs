@@ -31,21 +31,20 @@ use arith::Rational;
 use hypergraph::fx::{FxHashMap, FxHasher};
 use hypergraph::{Hypergraph, VertexSet};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// Number of shards (power of two). Sized so that the engine's worker
 /// threads rarely contend on one lock.
 const SHARDS: usize = 32;
 
-/// Entry state: claimed-but-computing, or computed (tagged with the cache
-/// generation it was completed in, so cross-call reuse is countable).
+/// Entry state: claimed-but-computing, or computed.
 enum Slot<V> {
     /// A thread claimed the key and is computing the value; arrivals park
     /// on the shard condvar.
     Pending,
-    /// The computed value, tagged with the generation that computed it.
-    Done(V, u32),
+    /// The computed value.
+    Done(V),
 }
 
 /// One shard: the map plus the condvar `Pending` waiters park on. The
@@ -88,13 +87,6 @@ pub struct ShardedCache<K, V> {
     shards: Vec<Shard<K, V>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    /// Hits on entries completed in an *earlier generation* — i.e. served
-    /// from a previous search session sharing this cache (see
-    /// [`ShardedCache::advance_generation`]).
-    warm_hits: AtomicUsize,
-    /// The current generation. Freshly constructed caches are generation 0
-    /// and never count warm hits until a session boundary advances it.
-    generation: AtomicU32,
 }
 
 impl<K: Eq + Hash, V: Clone> ShardedCache<K, V> {
@@ -110,8 +102,6 @@ impl<K: Eq + Hash, V: Clone> ShardedCache<K, V> {
                 .collect(),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
-            warm_hits: AtomicUsize::new(0),
-            generation: AtomicU32::new(0),
         }
     }
 
@@ -146,12 +136,9 @@ impl<K: Eq + Hash, V: Clone> ShardedCache<K, V> {
         let mut waited = false;
         loop {
             match map.get(key) {
-                Some(Slot::Done(v, gen)) => {
+                Some(Slot::Done(v)) => {
                     let v = v.clone();
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    if *gen < self.generation.load(Ordering::Relaxed) {
-                        self.warm_hits.fetch_add(1, Ordering::Relaxed);
-                    }
                     return (Claim::Hit(v), waited);
                 }
                 Some(Slot::Pending) => {
@@ -172,13 +159,12 @@ impl<K: Eq + Hash, V: Clone> ShardedCache<K, V> {
     /// Resolves a claim (or unconditionally stores a value computed
     /// elsewhere) and wakes every thread parked on the entry.
     pub fn complete(&self, key: K, value: V) {
-        let gen = self.generation.load(Ordering::Relaxed);
         let shard = self.shard(&key);
         shard
             .map
             .lock()
             .expect("cache poisoned")
-            .insert(key, Slot::Done(value, gen));
+            .insert(key, Slot::Done(value));
         shard.wake();
     }
 
@@ -202,12 +188,9 @@ impl<K: Eq + Hash, V: Clone> ShardedCache<K, V> {
         let mut map = shard.map.lock().expect("cache poisoned");
         loop {
             match map.get(key) {
-                Some(Slot::Done(v, gen)) => {
+                Some(Slot::Done(v)) => {
                     let v = v.clone();
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    if *gen < self.generation.load(Ordering::Relaxed) {
-                        self.warm_hits.fetch_add(1, Ordering::Relaxed);
-                    }
                     return Some(v);
                 }
                 Some(Slot::Pending) => {
@@ -265,22 +248,6 @@ impl<K: Eq + Hash, V: Clone> ShardedCache<K, V> {
         )
     }
 
-    /// Hits served from entries completed before the last
-    /// [`ShardedCache::advance_generation`] — the cross-call reuse count
-    /// when the cache outlives one search (the `prep` global price cache).
-    /// Always 0 on a cache whose generation was never advanced.
-    pub fn warm_hits(&self) -> usize {
-        self.warm_hits.load(Ordering::Relaxed)
-    }
-
-    /// Marks a session boundary: entries completed so far become "warm",
-    /// and hits on them are counted by [`ShardedCache::warm_hits`]. Called
-    /// by the cross-call price registry each time a new search borrows the
-    /// cache; per-search caches never call it.
-    pub fn advance_generation(&self) {
-        self.generation.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Number of cached (`Done`) entries.
     pub fn len(&self) -> usize {
         self.shards
@@ -290,7 +257,7 @@ impl<K: Eq + Hash, V: Clone> ShardedCache<K, V> {
                     .lock()
                     .expect("cache poisoned")
                     .values()
-                    .filter(|slot| matches!(slot, Slot::Done(..)))
+                    .filter(|slot| matches!(slot, Slot::Done(_)))
                     .count()
             })
             .sum()
@@ -315,7 +282,7 @@ impl<K: Eq + Hash + crate::MemSize, V: Clone + crate::MemSize> ShardedCache<K, V
             let map = shard.map.lock().expect("cache poisoned");
             for (k, slot) in map.iter() {
                 total += ENTRY_OVERHEAD + k.approx_bytes();
-                if let Slot::Done(v, _) = slot {
+                if let Slot::Done(v) = slot {
                     total += v.approx_bytes();
                 }
             }
@@ -487,24 +454,6 @@ mod tests {
             assert!(waiter.join().expect("waiter"), "waiter re-claims");
         });
         assert_eq!(cache.get(&3), Some(9));
-    }
-
-    #[test]
-    fn generations_count_cross_call_hits() {
-        let cache: ShardedCache<u32, u32> = ShardedCache::new();
-        cache.complete(1, 10);
-        assert_eq!(cache.get(&1), Some(10));
-        assert_eq!(cache.warm_hits(), 0, "same-generation hits are not warm");
-        cache.advance_generation();
-        assert_eq!(cache.get(&1), Some(10));
-        assert_eq!(cache.warm_hits(), 1, "pre-boundary entries read as warm");
-        cache.complete(2, 20);
-        assert_eq!(cache.get(&2), Some(20));
-        assert_eq!(
-            cache.warm_hits(),
-            1,
-            "entries of the current generation stay cold"
-        );
     }
 
     #[test]

@@ -93,37 +93,33 @@ pub fn check_fhd_bdp_with_stats(
     if h.has_isolated_vertices() || !k.is_positive() {
         return (FhdAnswer::No, SearchStats::default());
     }
-    let warm = solver::pool_is_warm();
     let key = format!(
         "k={:?};arity={};max_sub={};prep={};rp={};backend=auto",
         k, params.union_arity, params.max_subedges, opts.prep, opts.reuse_prices
     );
-    let (answer, mut stats) =
-        prep::cached_query(h, "result-fhd-bdp", key, opts.reuse_results, || {
-            // Decision profile (duplicate edges + twin vertices): `fhw` and
-            // the strictness trace are preserved exactly, and the lifted
-            // witness stays a valid FHD of `h` at the same width. The
-            // `No`/`Unknown` distinction travels around the generic wrapper
-            // in `verdict`.
-            let mut verdict = FhdAnswer::No;
-            let (result, stats) = prep::run_decision(h, opts.prep, |block| {
-                let (answer, s) = check_fhd_bdp_piece(block, k, params, opts);
-                match answer {
-                    FhdAnswer::Yes(d) => (Some(((), *d)), s),
-                    other => {
-                        verdict = other;
-                        (None, s)
-                    }
+    prep::cached_query(h, "result-fhd-bdp", key, opts.reuse_results, || {
+        // Decision profile (duplicate edges + twin vertices): `fhw` and
+        // the strictness trace are preserved exactly, and the lifted
+        // witness stays a valid FHD of `h` at the same width. The
+        // `No`/`Unknown` distinction travels around the generic wrapper
+        // in `verdict`.
+        let mut verdict = FhdAnswer::No;
+        let (result, stats) = prep::run_decision(h, opts.prep, |block| {
+            let (answer, s) = check_fhd_bdp_piece(block, k, params, opts);
+            match answer {
+                FhdAnswer::Yes(d) => (Some(((), *d)), s),
+                other => {
+                    verdict = other;
+                    (None, s)
                 }
-            });
-            let answer = match result {
-                Some((_, d)) => FhdAnswer::Yes(Box::new(d)),
-                None => verdict,
-            };
-            (answer, stats)
+            }
         });
-    stats.pool_reuse = usize::from(warm);
-    (answer, stats)
+        let answer = match result {
+            Some((_, d)) => FhdAnswer::Yes(Box::new(d)),
+            None => verdict,
+        };
+        (answer, stats)
+    })
 }
 
 /// Runs the Theorem 5.2 search proper on an (already preprocessed)
@@ -156,7 +152,7 @@ fn check_fhd_bdp_piece(
     let cx = SearchContext::with_options(opts);
     let result = cx.run(hp, &strategy);
     let mut stats = cx.stats();
-    (stats.price_hits, stats.price_misses, stats.price_warm_hits) = session.deltas();
+    (stats.price_hits, stats.price_misses) = session.deltas();
     let answer = match result {
         Some((_, d)) => FhdAnswer::Yes(Box::new(d)),
         None if truncated => FhdAnswer::Unknown,

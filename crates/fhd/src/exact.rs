@@ -78,15 +78,13 @@ pub fn fhw_exact_with_stats(
         edges = h.num_edges()
     );
     let started = std::time::Instant::now();
-    let warm = solver::pool_is_warm();
     let key = format!(
         "cutoff={cutoff:?};prep={};rp={};backend=auto",
         opts.prep, opts.reuse_prices
     );
-    let (result, mut stats) = prep::cached_query(h, "result-fhw", key, opts.reuse_results, || {
+    let (result, stats) = prep::cached_query(h, "result-fhw", key, opts.reuse_results, || {
         prep::run_minimizer(h, opts.prep, |block| fhw_piece(block, cutoff.clone(), opts))
     });
-    stats.pool_reuse = usize::from(warm);
     solve_metrics::latency().observe_us(started.elapsed().as_micros() as u64);
     (result, stats)
 }
@@ -242,7 +240,7 @@ fn fhw_piece(
             (w, d)
         });
         let mut stats = cx.stats();
-        (stats.price_hits, stats.price_misses, stats.price_warm_hits) = session.deltas();
+        (stats.price_hits, stats.price_misses) = session.deltas();
         merge_lp(&mut stats, strategy.pool.stats());
         return (result, stats);
     }
@@ -322,7 +320,7 @@ fn fhw_piece(
         let result = cx.run(h, &strategy);
         let engine = cx.stats();
         stats.merge(&engine);
-        (stats.price_hits, stats.price_misses, stats.price_warm_hits) = session.deltas();
+        (stats.price_hits, stats.price_misses) = session.deltas();
         stats.cand_generated = strategy.counters.generated();
         stats.cand_filtered = strategy.counters.filtered();
         stats.cand_cap_hits = strategy.counters.cap_hits();

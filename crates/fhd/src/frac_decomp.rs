@@ -58,30 +58,26 @@ pub fn frac_decomp_with_stats(
     if h.has_isolated_vertices() {
         return (None, SearchStats::default());
     }
-    let warm = solver::pool_is_warm();
     let key = format!(
         "k={:?};eps={:?};c={};prep={};rp={};backend=auto",
         params.k, params.eps, params.c, opts.prep, opts.reuse_prices
     );
-    let (result, mut stats) =
-        prep::cached_query(h, "result-frac-decomp", key, opts.reuse_results, || {
-            // Decision profile: duplicate-edge and twin-vertex collapse only —
-            // the passes whose lifts preserve the weak special condition. The
-            // `c` bound is checked on the *reduced* instance, so acceptance is
-            // one-sided monotone: anything the unprepped algorithm accepts is
-            // still accepted (an FHD with a c-bounded part projects onto the
-            // collapsed instance), and everything accepted lifts to a valid
-            // width-(k+ε) witness of `h` — but collapsed twins need fewer
-            // `W_s` slots, so prep can accept where the raw algorithm's
-            // c-relative completeness gave up.
-            let (result, stats) = prep::run_decision(h, opts.prep, |block| {
-                let (d, s) = frac_decomp_piece(block, params, opts);
-                (d.map(|d| ((), d)), s)
-            });
-            (result.map(|(_, d)| d), stats)
+    prep::cached_query(h, "result-frac-decomp", key, opts.reuse_results, || {
+        // Decision profile: duplicate-edge and twin-vertex collapse only —
+        // the passes whose lifts preserve the weak special condition. The
+        // `c` bound is checked on the *reduced* instance, so acceptance is
+        // one-sided monotone: anything the unprepped algorithm accepts is
+        // still accepted (an FHD with a c-bounded part projects onto the
+        // collapsed instance), and everything accepted lifts to a valid
+        // width-(k+ε) witness of `h` — but collapsed twins need fewer
+        // `W_s` slots, so prep can accept where the raw algorithm's
+        // c-relative completeness gave up.
+        let (result, stats) = prep::run_decision(h, opts.prep, |block| {
+            let (d, s) = frac_decomp_piece(block, params, opts);
+            (d.map(|d| ((), d)), s)
         });
-    stats.pool_reuse = usize::from(warm);
-    (result, stats)
+        (result.map(|(_, d)| d), stats)
+    })
 }
 
 /// Runs Algorithm 3 proper on an (already preprocessed) instance.
@@ -103,7 +99,7 @@ fn frac_decomp_piece(
     let cx = SearchContext::with_options(opts);
     let result = cx.run(h, &strategy).map(|(_, d)| d);
     let mut stats = cx.stats();
-    (stats.price_hits, stats.price_misses, stats.price_warm_hits) = session.deltas();
+    (stats.price_hits, stats.price_misses) = session.deltas();
     (result, stats)
 }
 

@@ -64,19 +64,17 @@ pub fn ghw_exact_with_stats(
         edges = h.num_edges()
     );
     let started = std::time::Instant::now();
-    let warm = solver::pool_is_warm();
     let key = format!(
         "cutoff={cutoff:?};prep={};rp={};backend=auto",
         opts.prep, opts.reuse_prices
     );
-    let (result, mut stats) = prep::cached_query(h, "result-ghw", key, opts.reuse_results, || {
+    let (result, stats) = prep::cached_query(h, "result-ghw", key, opts.reuse_results, || {
         // The minimizer pipeline: GYO-style simplification, then
         // biconnected blocks solved independently (candidate generation
         // and the heuristic bound run per block), width = max, witness
         // stitched and lifted.
         prep::run_minimizer(h, opts.prep, |block| ghw_piece(block, cutoff, opts))
     });
-    stats.pool_reuse = usize::from(warm);
     solve_metrics::latency().observe_us(started.elapsed().as_micros() as u64);
     (result, stats)
 }
@@ -256,7 +254,7 @@ fn ghw_piece(
         let result = cx.run(h, &strategy);
         let engine = cx.stats();
         stats.merge(&engine);
-        (stats.price_hits, stats.price_misses, stats.price_warm_hits) = session.deltas();
+        (stats.price_hits, stats.price_misses) = session.deltas();
         stats.cand_generated = strategy.counters.generated();
         stats.cand_filtered = strategy.counters.filtered();
         Some(result)

@@ -49,21 +49,17 @@ pub fn check_hd_with_stats(
     if h.has_isolated_vertices() {
         return (None, SearchStats::default());
     }
-    let warm = solver::pool_is_warm();
     let key = format!(
         "k={k};prep={};rp={};backend=auto",
         opts.prep, opts.reuse_prices
     );
-    let (result, mut stats) =
-        prep::cached_query(h, "result-hw-check", key, opts.reuse_results, || {
-            let (result, stats) = prep::run_decision(h, opts.prep, |block| {
-                let (d, s) = check_hd_piece(block, k, opts);
-                (d.map(|d| ((), d)), s)
-            });
-            (result.map(|(_, d)| d), stats)
+    prep::cached_query(h, "result-hw-check", key, opts.reuse_results, || {
+        let (result, stats) = prep::run_decision(h, opts.prep, |block| {
+            let (d, s) = check_hd_piece(block, k, opts);
+            (d.map(|d| ((), d)), s)
         });
-    stats.pool_reuse = usize::from(warm);
-    (result, stats)
+        (result.map(|(_, d)| d), stats)
+    })
 }
 
 /// Runs `det-k-decomp` proper on an (already preprocessed) instance.
@@ -103,12 +99,11 @@ pub fn hypertree_width_with_stats(
         edges = h.num_edges()
     );
     let started = std::time::Instant::now();
-    let warm = solver::pool_is_warm();
     let key = format!(
         "max_k={max_k};prep={};rp={};backend=auto",
         opts.prep, opts.reuse_prices
     );
-    let (result, mut stats) = prep::cached_query(h, "result-hw", key, opts.reuse_results, || {
+    let (result, stats) = prep::cached_query(h, "result-hw", key, opts.reuse_results, || {
         // The prep pipeline (which is `k`-independent) runs once around
         // the whole iteration; every check searches the same reduced
         // block and only the final witness is lifted.
@@ -131,7 +126,6 @@ pub fn hypertree_width_with_stats(
             (None, total)
         })
     });
-    stats.pool_reuse = usize::from(warm);
     solve_metrics::latency().observe_us(started.elapsed().as_micros() as u64);
     (result, stats)
 }

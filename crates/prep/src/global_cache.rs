@@ -142,12 +142,11 @@ impl GlobalPriceCache {
     }
 
     /// Opens a session for `h`: cached slots of the same instance are
-    /// shared (their generation advanced, so reuse shows up in
-    /// [`cover::ShardedCache::warm_hits`]); an unknown instance (or a new
-    /// canonical form behind a colliding fingerprint) is registered as its
-    /// own variant. Opening touches the LRU key and runs the byte-budget
-    /// sweep, evicting least-recently-used variants (never the one just
-    /// opened) while the estimate exceeds the budget.
+    /// shared; an unknown instance (or a new canonical form behind a
+    /// colliding fingerprint) is registered as its own variant. Opening
+    /// touches the LRU key and runs the byte-budget sweep, evicting
+    /// least-recently-used variants (never the one just opened) while the
+    /// estimate exceeds the budget.
     pub fn session(&'static self, h: &Hypergraph) -> PriceSession {
         let canon = canonical_form(h);
         let fp = fingerprint_of_canon(&canon);
@@ -277,23 +276,15 @@ impl PriceSession {
     }
 
     /// The cache for `slot`, shared across calls when the session is
-    /// registry-backed (its generation is advanced so cross-call hits are
-    /// counted as warm), private otherwise.
+    /// registry-backed, private otherwise.
     pub fn cache<K, V>(&self, slot: &'static str) -> Arc<ShardedCache<K, V>>
     where
         K: Eq + Hash + MemSize + Send + Sync + 'static,
         V: Clone + MemSize + Send + Sync + 'static,
     {
-        let shared = self
-            .registry
-            .and_then(|(reg, fp, sec)| reg.slot::<K, V>(fp, sec, slot));
-        match shared {
-            Some(cache) => {
-                cache.advance_generation();
-                cache
-            }
-            None => Arc::new(ShardedCache::new()),
-        }
+        self.registry
+            .and_then(|(reg, fp, sec)| reg.slot::<K, V>(fp, sec, slot))
+            .unwrap_or_else(|| Arc::new(ShardedCache::new()))
     }
 }
 
@@ -307,7 +298,6 @@ pub struct SessionCache<K, V> {
     pub cache: Arc<ShardedCache<K, V>>,
     base_hits: usize,
     base_misses: usize,
-    base_warm: usize,
 }
 
 impl<K, V> SessionCache<K, V>
@@ -326,27 +316,21 @@ where
         };
         let cache = session.cache::<K, V>(slot);
         let (base_hits, base_misses) = cache.counters();
-        let base_warm = cache.warm_hits();
         SessionCache {
             cache,
             base_hits,
             base_misses,
-            base_warm,
         }
     }
 
-    /// `(hits, misses, warm_hits)` accumulated since checkout — what the
-    /// strategy wrappers surface as `price_hits`/`price_misses`/
-    /// `price_warm_hits`. Process-history-independent on private caches;
-    /// on shared ones, concurrent borrowers' traffic is included (which is
-    /// why the determinism suites run with reuse off).
-    pub fn deltas(&self) -> (usize, usize, usize) {
+    /// `(hits, misses)` accumulated since checkout — what the strategy
+    /// wrappers surface as `price_hits`/`price_misses`.
+    /// Process-history-independent on private caches; on shared ones,
+    /// concurrent borrowers' traffic is included (which is why the
+    /// determinism suites run with reuse off).
+    pub fn deltas(&self) -> (usize, usize) {
         let (hits, misses) = self.cache.counters();
-        (
-            hits - self.base_hits,
-            misses - self.base_misses,
-            self.cache.warm_hits() - self.base_warm,
-        )
+        (hits - self.base_hits, misses - self.base_misses)
     }
 }
 
@@ -578,10 +562,10 @@ mod tests {
         let first: SessionCache<u32, u32> = SessionCache::open(&h, "test-slot-deltas", true);
         first.cache.get_or_insert_with(&1, || 10);
         first.cache.get_or_insert_with(&1, || 10);
-        assert_eq!(first.deltas(), (1, 1, 0));
+        assert_eq!(first.deltas(), (1, 1));
         let second: SessionCache<u32, u32> = SessionCache::open(&h, "test-slot-deltas", true);
         second.cache.get_or_insert_with(&1, || 10);
-        assert_eq!(second.deltas(), (1, 0, 1), "cross-checkout hit is warm");
+        assert_eq!(second.deltas(), (1, 0), "cross-checkout lookup hits");
     }
 
     #[test]
@@ -594,7 +578,6 @@ mod tests {
         let s2 = global().session(&h);
         let c2 = s2.cache::<u32, u32>("test-slot-a");
         assert_eq!(c2.get(&7), Some(9), "second session sees cached prices");
-        assert!(c2.warm_hits() >= 1, "cross-call hit counted as warm");
     }
 
     #[test]

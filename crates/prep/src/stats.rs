@@ -11,7 +11,7 @@
 use arith::Rational;
 
 /// Counters of one width search, exposed through `SearchContext::stats`
-/// for tests, `hgtool widths --stats` and the `baseline` bin. The engine
+/// for tests, `hgtool widths --stats` and the benchmark. The engine
 /// fills the state/candidate counters; the strategy wrappers merge their
 /// shared cover-price cache deltas, the candidate-generator tallies and
 /// the preprocessing reduction counts on top.
@@ -36,10 +36,6 @@ pub struct SearchStats {
     pub price_hits: usize,
     /// Cover/LP price-cache misses (ρ/ρ* prices actually computed).
     pub price_misses: usize,
-    /// Price lookups served from entries cached by an *earlier* search in
-    /// this process (the fingerprint-keyed cross-call cache). Always 0
-    /// with price reuse off.
-    pub price_warm_hits: usize,
     /// Candidate bags produced by the `candgen` edge-union enumerator
     /// before its filters ran (0 on the subset-oracle and fallback paths).
     pub cand_generated: usize,
@@ -83,11 +79,6 @@ pub struct SearchStats {
     /// already in flight in this process (this call parked and adopted the
     /// other search's answer instead of running its own).
     pub inflight_dedup: usize,
-    /// 1 when the shared worker pool was already spun up by an earlier
-    /// search when this call entered (pool threads were reused, not
-    /// spawned), 0 otherwise. Set by the strategy wrappers, never by the
-    /// engine — engine counters stay thread-count- and history-invariant.
-    pub pool_reuse: usize,
 }
 
 impl SearchStats {
@@ -106,7 +97,7 @@ impl SearchStats {
     ///
     /// # Merge rule
     ///
-    /// Each field merges by exactly one of three rules, chosen by what the
+    /// Each field merges by exactly one of two rules, chosen by what the
     /// field *means* across sub-searches:
     ///
     /// * **Sum** — work counters (`states`, `memo_hits`, `streamed`,
@@ -118,9 +109,6 @@ impl SearchStats {
     ///   instance is as wide as its widest block), so the merged seed is
     ///   the maximum, with `None` treated as "no seed ran", not zero.
     ///   Summing here would fabricate a bound no heuristic ever produced.
-    /// * **Max-as-OR** — `pool_reuse`: a 0/1 process-state flag; merging
-    ///   the per-block searches of one call must keep it a flag (the pool
-    ///   was either warm when the call entered or it was not).
     ///
     /// The exhaustive `merge_rule_per_field` test pins every field to its
     /// class — adding a field without choosing its rule breaks the test.
@@ -131,7 +119,6 @@ impl SearchStats {
         self.admitted += other.admitted;
         self.price_hits += other.price_hits;
         self.price_misses += other.price_misses;
-        self.price_warm_hits += other.price_warm_hits;
         self.cand_generated += other.cand_generated;
         self.cand_filtered += other.cand_filtered;
         self.cand_cap_hits += other.cand_cap_hits;
@@ -147,13 +134,10 @@ impl SearchStats {
         self.prep_blocks += other.prep_blocks;
         self.result_cache_hits += other.result_cache_hits;
         self.inflight_dedup += other.inflight_dedup;
-        // A 0/1 process-state flag, not a count: merging per-block searches
-        // of one call keeps it a flag.
-        self.pool_reuse = self.pool_reuse.max(other.pool_reuse);
     }
 
     /// Zeroes the process-history-dependent runtime counters
-    /// (`result_cache_hits`, `inflight_dedup`, `pool_reuse`), leaving the
+    /// (`result_cache_hits`, `inflight_dedup`), leaving the
     /// deterministic engine counters. The identity test suites compare
     /// `stats.engine_only()` across cache-on/cache-off and thread-count
     /// runs — the runtime counters are *expected* to differ there.
@@ -161,7 +145,6 @@ impl SearchStats {
         SearchStats {
             result_cache_hits: 0,
             inflight_dedup: 0,
-            pool_reuse: 0,
             ..self.clone()
         }
     }
@@ -204,9 +187,9 @@ mod tests {
         assert_eq!(c.ub_width, Some(Rational::from_frac(3, 2)));
     }
 
-    /// Pins every field to its documented merge class: counters sum,
-    /// `ub_width` maxes (block widths recombine as the maximum), and
-    /// `pool_reuse` stays a 0/1 flag. The exhaustive struct literal (no
+    /// Pins every field to its documented merge class: counters sum and
+    /// `ub_width` maxes (block widths recombine as the maximum). The
+    /// exhaustive struct literal (no
     /// `..Default::default()`) forces this test to be revisited whenever a
     /// field is added without choosing its rule.
     #[test]
@@ -218,7 +201,6 @@ mod tests {
             admitted: 4,
             price_hits: 5,
             price_misses: 6,
-            price_warm_hits: 7,
             cand_generated: 8,
             cand_filtered: 9,
             cand_cap_hits: 10,
@@ -231,7 +213,6 @@ mod tests {
             prep_blocks: 16,
             result_cache_hits: 17,
             inflight_dedup: 18,
-            pool_reuse: 0,
         };
         let b = SearchStats {
             states: 100,
@@ -240,7 +221,6 @@ mod tests {
             admitted: 100,
             price_hits: 100,
             price_misses: 100,
-            price_warm_hits: 100,
             cand_generated: 100,
             cand_filtered: 100,
             cand_cap_hits: 100,
@@ -253,7 +233,6 @@ mod tests {
             prep_blocks: 100,
             result_cache_hits: 100,
             inflight_dedup: 100,
-            pool_reuse: 1,
         };
         a.merge(&b);
         let expected = SearchStats {
@@ -264,7 +243,6 @@ mod tests {
             admitted: 104,
             price_hits: 105,
             price_misses: 106,
-            price_warm_hits: 107,
             cand_generated: 108,
             cand_filtered: 109,
             cand_cap_hits: 110,
@@ -278,8 +256,6 @@ mod tests {
             prep_blocks: 116,
             result_cache_hits: 117,
             inflight_dedup: 118,
-            // Flag: maxed, not summed.
-            pool_reuse: 1,
         };
         assert_eq!(a, expected);
         // `None` means "no seed ran", not zero: it never wins the max and
@@ -290,9 +266,5 @@ mod tests {
         let mut seeded = expected.clone();
         seeded.merge(&SearchStats::default());
         assert_eq!(seeded.ub_width, Some(Rational::from_frac(5, 2)));
-        // Merging is associative-compatible with the flag rule: a third
-        // merge keeps pool_reuse a flag.
-        seeded.merge(&expected);
-        assert_eq!(seeded.pool_reuse, 1);
     }
 }

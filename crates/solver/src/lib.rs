@@ -134,7 +134,7 @@ pub struct EngineOptions {
     /// cutoff)`, and dedup identical in-flight requests to one search. A
     /// hit replays the original search's result and engine counters
     /// byte-for-byte; only the runtime counters (`result_cache_hits`,
-    /// `inflight_dedup`, `pool_reuse`) reflect the current call. Off under
+    /// `inflight_dedup`) reflect the current call. Off under
     /// [`EngineOptions::sequential`] / [`EngineOptions::with_threads`].
     pub reuse_results: bool,
 }
@@ -180,27 +180,6 @@ impl EngineOptions {
     /// via `hgtool widths --no-prep` and the `HGTOOL_NO_PREP` env var).
     pub fn without_prep(mut self) -> Self {
         self.prep = false;
-        self
-    }
-
-    /// Enables the fingerprint-keyed cross-call price cache (see
-    /// [`EngineOptions::reuse_prices`]).
-    pub fn with_price_reuse(mut self) -> Self {
-        self.reuse_prices = true;
-        self
-    }
-
-    /// Enables the whole-query result cache (see
-    /// [`EngineOptions::reuse_results`]).
-    pub fn with_result_reuse(mut self) -> Self {
-        self.reuse_results = true;
-        self
-    }
-
-    /// Disables the whole-query result cache while keeping everything else
-    /// (the cache-on/cache-off identity checks of the runtime tests).
-    pub fn without_result_reuse(mut self) -> Self {
-        self.reuse_results = false;
         self
     }
 }
@@ -497,13 +476,6 @@ fn shared_pool() -> &'static SharedPool {
         }
     });
     pool
-}
-
-/// True when the shared pool is already running — i.e. a search starting
-/// now skips the pool spin-up entirely. Surfaced as the `pool_reuse`
-/// runtime counter by the strategy wrappers.
-pub fn pool_is_warm() -> bool {
-    POOL.get().is_some()
 }
 
 impl SharedPool {

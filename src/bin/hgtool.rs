@@ -13,7 +13,7 @@
 //!                                     --stats adds engine + LP-cache +
 //!                                     candidate-generation + simplex
 //!                                     (pivot/warm-start) + runtime
-//!                                     (result-cache/dedup/pool) counters,
+//!                                     (result-cache/dedup) counters,
 //!                                     --no-prep bypasses the preprocessing
 //!                                     pipeline and its cross-call caches
 //!                                     (also: HGTOOL_NO_PREP env var),
@@ -525,18 +525,26 @@ fn structure(h: &Hypergraph) -> Result<(), String> {
     Ok(())
 }
 
+/// The engine options of every `hgtool widths` path. `--no-prep` is an
+/// honest A/B baseline: it disables the whole prep subsystem — the
+/// passes, the cross-call price registry and the result cache — not just
+/// the passes.
+fn widths_options(no_prep: bool) -> EngineOptions {
+    let mut opts = EngineOptions::default();
+    if no_prep {
+        opts = opts.without_prep();
+        opts.reuse_prices = false;
+        opts.reuse_results = false;
+    }
+    opts
+}
+
 fn widths(
     h: &Hypergraph,
     stats: bool,
     no_prep: bool,
 ) -> Result<Vec<obs::trace::SpanRecord>, String> {
-    let mut opts = EngineOptions::default();
-    if no_prep {
-        // An honest A/B baseline: disable the whole prep subsystem,
-        // including its cross-call price registry, not just the passes.
-        opts = opts.without_prep();
-        opts.reuse_prices = false;
-    }
+    let opts = widths_options(no_prep);
     // Per-width calls rather than `exact_widths_with_opts`: the candgen
     // edge-union engine reaches instance sizes where the fhw subset/DP
     // engines no longer answer, so each width degrades to `n/a`
@@ -611,11 +619,11 @@ fn widths(
             );
         }
         println!();
-        println!("engine     result-cache-hits  inflight-dedup  pool-warm");
+        println!("engine     result-cache-hits  inflight-dedup");
         for (name, t) in [("hw", &s.hw), ("ghw", &s.ghw), ("fhw", &s.fhw)] {
             println!(
-                "{name:<10} {:>17} {:>14} {:>9}",
-                t.result_cache_hits, t.inflight_dedup, t.pool_reuse,
+                "{name:<10} {:>17} {:>14}",
+                t.result_cache_hits, t.inflight_dedup,
             );
         }
         if obs::trace::enabled() {
@@ -638,29 +646,10 @@ fn widths(
                 );
             }
         }
-        if prep::reuse_enabled(opts.reuse_prices) {
-            // The cross-call demonstration: the fhw search above populated
-            // the fingerprint-keyed global cache, so a repeated search
-            // prices nothing (its lookups come back warm) — the rerun
-            // costs a pricing-free engine pass, a fraction of the first
-            // search. Result reuse is disabled for the rerun: a
-            // result-cache hit would skip the search (and its pricing)
-            // entirely, making the warm-lookup line vacuous.
-            let mut rerun_opts = opts;
-            rerun_opts.reuse_results = false;
-            let (_, rerun) = fhd::fhw_exact_with_stats(h, None, rerun_opts);
-            println!(
-                "cross-call price cache: re-running fhw served {} of {} lookups from earlier calls",
-                rerun.price_warm_hits,
-                rerun.price_hits + rerun.price_misses,
-            );
-        }
     }
     let mut records = hw_spans;
     records.extend(ghw_spans);
     records.extend(fhw_spans);
-    // Spans of the --stats rerun (if any) belong to the command too.
-    records.extend(drain_if_tracing());
     Ok(records)
 }
 
@@ -672,11 +661,7 @@ fn widths(
 fn widths_portfolio(h: &Hypergraph, stats: bool, no_prep: bool) -> Result<(), String> {
     use hypertree::solver::backend::{Measure, WidthRequest};
     use hypertree::solver::portfolio::{deadline_from_env, race, RaceReport};
-    let mut opts = EngineOptions::default();
-    if no_prep {
-        opts = opts.without_prep();
-        opts.reuse_prices = false;
-    }
+    let opts = widths_options(no_prep);
     // Per-measure races rather than `exact_widths_portfolio`: like the
     // plain path, each width degrades to `n/a` (or its best bounds)
     // independently instead of failing the whole command.
@@ -752,12 +737,7 @@ fn fmt_micros(d: Option<std::time::Duration>) -> String {
 /// every instance's three measures race their registries; the winners
 /// column names who won each race.
 fn widths_portfolio_batch(files: &[String], stats: bool, no_prep: bool) -> Result<(), String> {
-    let mut opts = EngineOptions::default();
-    if no_prep {
-        opts = opts.without_prep();
-        opts.reuse_prices = false;
-        opts.reuse_results = false;
-    }
+    let opts = widths_options(no_prep);
     let deadline = hypertree::solver::portfolio::deadline_from_env();
     let mut instances = Vec::with_capacity(files.len());
     for f in files {
@@ -795,12 +775,7 @@ fn widths_portfolio_batch(files: &[String], stats: bool, no_prep: bool) -> Resul
 /// candidate-space estimate, every search multiplexes the one worker pool,
 /// and repeated instances resolve from the cross-call result cache.
 fn widths_batch(files: &[String], stats: bool, no_prep: bool) -> Result<(), String> {
-    let mut opts = EngineOptions::default();
-    if no_prep {
-        opts = opts.without_prep();
-        opts.reuse_prices = false;
-        opts.reuse_results = false;
-    }
+    let opts = widths_options(no_prep);
     let mut instances = Vec::with_capacity(files.len());
     for f in files {
         instances.push(load(f)?);
@@ -818,11 +793,10 @@ fn widths_batch(files: &[String], stats: bool, no_prep: bool) -> Result<(), Stri
                     let hits =
                         s.hw.result_cache_hits + s.ghw.result_cache_hits + s.fhw.result_cache_hits;
                     let dedup = s.hw.inflight_dedup + s.ghw.inflight_dedup + s.fhw.inflight_dedup;
-                    let warm = s.hw.pool_reuse.max(s.ghw.pool_reuse).max(s.fhw.pool_reuse);
                     let states = s.hw.states + s.ghw.states + s.fhw.states;
                     line.push_str(&format!(
                         "   states={states} result-cache-hits={hits} \
-                         inflight-dedup={dedup} pool-warm={warm}"
+                         inflight-dedup={dedup}"
                     ));
                 }
                 println!("{line}");
@@ -838,11 +812,7 @@ fn widths_batch(files: &[String], stats: bool, no_prep: bool) -> Result<(), Stri
 /// with their witnesses, skipping the exact searches entirely — usable at
 /// any instance size.
 fn heuristic_widths(h: &Hypergraph, no_prep: bool) -> Result<(), String> {
-    let mut opts = EngineOptions::default();
-    if no_prep {
-        opts = opts.without_prep();
-        opts.reuse_prices = false;
-    }
+    let opts = widths_options(no_prep);
     let (ghw, ghw_d) = ghd::ghw_upper_bound_with_stats(h, opts)
         .0
         .ok_or("invalid instance (empty or isolated vertices)")?;

@@ -310,7 +310,8 @@ fn gyo_collapse_shrinks_the_search() {
 }
 
 /// Repeating a search with `reuse_prices` serves the second call from the
-/// process-lifetime fingerprint-keyed cache: nonzero cross-call hits.
+/// process-lifetime fingerprint-keyed cache: every price lookup of the
+/// rerun hits, none is computed again.
 #[test]
 fn repeated_searches_hit_the_cross_call_cache() {
     if prep_disabled() {
@@ -318,7 +319,10 @@ fn repeated_searches_hit_the_cross_call_cache() {
         return;
     }
     let h = generators::cycle(6);
-    let opts = EngineOptions::sequential().with_price_reuse();
+    let opts = EngineOptions {
+        reuse_prices: true,
+        ..EngineOptions::sequential()
+    };
     let (first, _) = fhd::fhw_exact_with_stats(&h, None, opts);
     let (second, rerun) = fhd::fhw_exact_with_stats(&h, None, opts);
     assert_eq!(
@@ -327,8 +331,10 @@ fn repeated_searches_hit_the_cross_call_cache() {
         "reuse must not change the width"
     );
     assert!(
-        rerun.price_warm_hits > 0,
-        "second search must reuse prices cached by the first"
+        rerun.price_misses == 0 && rerun.price_hits > 0,
+        "second search must reuse prices cached by the first: {} hits, {} misses",
+        rerun.price_hits,
+        rerun.price_misses
     );
 }
 

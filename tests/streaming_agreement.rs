@@ -97,9 +97,9 @@ proptest! {
                     &baseline, &result,
                     "fhw result at {} threads (cutoff {:?}) on {:?}", threads, cutoff, h
                 );
-                // Engine counters only: `pool_reuse` records whether the
-                // shared pool was already warm, which depends on process
-                // history (and is always 0 on the sequential baseline).
+                // Engine counters only: the runtime counters (result-cache
+                // hits, in-flight dedup) depend on process history, not on
+                // the search.
                 prop_assert_eq!(
                     base_stats.engine_only(), stats.engine_only(),
                     "fhw stats at {} threads (cutoff {:?}) on {:?}", threads, cutoff, h
@@ -176,8 +176,8 @@ fn stats_are_thread_count_invariant_on_the_example_instances() {
         let (ghw_par, ghw_par_stats) =
             ghd::ghw_exact_with_stats(&h, None, EngineOptions::with_threads(4));
         assert_eq!(ghw_seq, ghw_par, "{name}: ghw result");
-        // `engine_only` strips `pool_reuse` — whether the shared pool was
-        // already warm depends on process history, not on the search.
+        // `engine_only` strips the runtime counters, which depend on
+        // process history, not on the search.
         assert_eq!(
             ghw_seq_stats.engine_only(),
             ghw_par_stats.engine_only(),
