@@ -6,8 +6,9 @@
 //!
 //! Re-exports every workspace crate as a module and offers a small
 //! high-level layer: [`analyze_structure`] (the Section 4–6 restriction
-//! criteria), [`exact_widths`] (certified `hw`/`ghw`/`fhw` for small
-//! instances) and the [`prelude`].
+//! criteria), [`resolve`] (one measure through its backend registry, alone
+//! or as a portfolio race), [`exact_widths`] (certified `hw`/`ghw`/`fhw`
+//! for small instances) and the [`prelude`].
 //!
 //! ```
 //! use hypertree_core::prelude::*;
@@ -38,7 +39,9 @@ pub use solver;
 
 use arith::Rational;
 use hypergraph::{properties, Hypergraph};
-use solver::SearchStats;
+use solver::backend::{Measure, WidthRequest};
+use solver::portfolio::RaceReport;
+use std::time::Duration;
 
 /// Frequently used items in one import.
 pub mod prelude {
@@ -106,67 +109,33 @@ pub struct ExactWidths {
 }
 
 /// Computes `hw`, `ghw` and `fhw` exactly; `None` when the instance exceeds
-/// the exponential baselines' size limits or `hw > max_hw`.
+/// the exact engines' size limits or `hw > max_hw`.
 ///
-/// All three engines run on the shared `(component, connector)` search in
-/// the [`solver`] crate — `det-k-decomp`, the `rho`-priced and the
-/// `rho*`-priced subset strategies are thin [`solver::WidthSolver`]
-/// implementations over one memoized recursion.
+/// Each measure is one [`resolve`] call with the default
+/// [`solver::EngineOptions`] and no portfolio: the registry's default
+/// backend (`det-k-decomp` for `hw`, the shared-engine subset searches
+/// priced by `rho` and `rho*` for `ghw` and `fhw`) runs alone.
 pub fn exact_widths(h: &Hypergraph, max_hw: usize) -> Option<ExactWidths> {
-    exact_widths_with_stats(h, max_hw).map(|(w, _)| w)
-}
-
-/// Per-engine counters of one [`exact_widths_with_stats`] run.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WidthStats {
-    /// `det-k-decomp` counters, summed over the `k = 1..` checks.
-    pub hw: solver::SearchStats,
-    /// Exact-`ghw` subset-search counters.
-    pub ghw: solver::SearchStats,
-    /// Exact-`fhw` subset-search counters.
-    pub fhw: solver::SearchStats,
-}
-
-/// As [`exact_widths`], also reporting the engine and price-cache counters
-/// of each of the three searches (surfaced by `hgtool widths --stats` and
-/// recorded by the `baseline` bin). All three engines run with the default
-/// scheduling ([`solver::default_thread_count`], honoring `HGTOOL_THREADS`);
-/// the counters are identical at every thread count.
-pub fn exact_widths_with_stats(h: &Hypergraph, max_hw: usize) -> Option<(ExactWidths, WidthStats)> {
-    exact_widths_with_opts(h, max_hw, solver::EngineOptions::default())
-}
-
-/// As [`exact_widths_with_stats`] with explicit [`solver::EngineOptions`]
-/// — the hook for `hgtool widths --no-prep` and for callers that want
-/// fresh per-search price caches (`reuse_prices: false`).
-pub fn exact_widths_with_opts(
-    h: &Hypergraph,
-    max_hw: usize,
-    opts: solver::EngineOptions,
-) -> Option<(ExactWidths, WidthStats)> {
-    let (hw, hw_stats) = hd::hypertree_width_with_stats(h, max_hw, opts);
-    let (hw, _) = hw?;
-    let (ghw, ghw_stats) = ghd::ghw_exact_with_stats(h, None, opts);
-    let (ghw, _) = ghw?;
-    let (fhw, fhw_stats) = fhd::fhw_exact_with_stats(h, None, opts);
-    let (fhw, _) = fhw?;
-    Some((
-        ExactWidths { hw, ghw, fhw },
-        WidthStats {
-            hw: hw_stats,
-            ghw: ghw_stats,
-            fhw: fhw_stats,
-        },
-    ))
+    let width = |measure| {
+        resolve(h, measure, solver::EngineOptions::default(), false, None)
+            .outcome
+            .width
+    };
+    let integral = |w: Rational| w.floor().to_i64().unwrap_or(0).max(0) as usize;
+    let [hw, ghw, fhw] = width_measures(max_hw);
+    Some(ExactWidths {
+        hw: integral(width(hw)?),
+        ghw: integral(width(ghw)?),
+        fhw: width(fhw)?,
+    })
 }
 
 /// The portfolio registry: the [`solver::backend::Backend`]s worth racing
 /// for the given measure, in admission order (the always-eligible default
 /// first): `iterate` for `hw`, `engine` + `elim` for `ghw` and `fhw`.
 /// This is the one place the three measures' backend sets are wired
-/// together; [`solver::portfolio::race`] consumes the list directly.
-pub fn backends_for(measure: &solver::backend::Measure) -> Vec<Box<dyn solver::backend::Backend>> {
-    use solver::backend::Measure;
+/// together; [`resolve`] hands the list to [`solver::portfolio::race`].
+pub fn backends_for(measure: &Measure) -> Vec<Box<dyn solver::backend::Backend>> {
     match measure {
         Measure::Hw { .. } => hd::backends::backends(),
         Measure::Ghw { .. } => ghd::backends::backends(),
@@ -174,123 +143,46 @@ pub fn backends_for(measure: &solver::backend::Measure) -> Vec<Box<dyn solver::b
     }
 }
 
-/// The three per-measure [`solver::portfolio::RaceReport`]s of one
-/// [`exact_widths_portfolio`] run (winner ids, bound traces, race
-/// timings).
-#[derive(Clone, Debug)]
-pub struct WidthRaces {
-    /// The `hw` race.
-    pub hw: solver::portfolio::RaceReport,
-    /// The `ghw` race.
-    pub ghw: solver::portfolio::RaceReport,
-    /// The `fhw` race.
-    pub fhw: solver::portfolio::RaceReport,
+/// The three measures of a widths query, in resolution order: `hw` (up to
+/// `max_hw`), then unbounded `ghw` and `fhw`.
+pub fn width_measures(max_hw: usize) -> [Measure; 3] {
+    [
+        Measure::Hw { max_k: max_hw },
+        Measure::Ghw { cutoff: None },
+        Measure::Fhw { cutoff: None },
+    ]
 }
 
-/// As [`exact_widths_with_opts`], but each of the three measures races
-/// its backend registry ([`backends_for`]) through
-/// [`solver::portfolio::race`], each race under `deadline`: first exact
-/// answer wins, losers are cancelled, and the per-measure [`WidthRaces`]
-/// report records winner, bound trace and race timings. Widths are
-/// identical to the non-portfolio path (every backend is exact); `None`
-/// means some measure's race ended unresolved (instance out of every
-/// backend's range, or a deadline struck first).
-pub fn exact_widths_portfolio(
+/// Resolves one measure on `h`: the one path every front end (`hgtool
+/// widths`, serve's `/solve`, [`exact_widths`]) takes.
+///
+/// With `portfolio`, every member of [`backends_for`] races under
+/// `deadline` (first exact answer wins, losers are cancelled). Without,
+/// only the always-eligible default member (`iterate` / `engine`) runs —
+/// a race of one, inline on the calling thread, calling the same
+/// `*_with_stats` function as a direct call, so widths, witnesses and
+/// engine counters are identical to it.
+///
+/// A race that ends unresolved because the caller's ambient cancellation
+/// token fired (a request deadline, a drain) re-raises the interrupt, as
+/// the engine root would outside a race; an unresolved race under its own
+/// `deadline` only returns an unresolved report carrying the best bounds.
+pub fn resolve(
     h: &Hypergraph,
-    max_hw: usize,
+    measure: Measure,
     opts: solver::EngineOptions,
-    deadline: Option<std::time::Duration>,
-) -> Option<(ExactWidths, WidthStats, WidthRaces)> {
-    use solver::backend::{Measure, WidthRequest};
-    let race = |measure: Measure| {
-        let backends = backends_for(&measure);
-        let req = WidthRequest { measure, opts };
-        solver::portfolio::race(h, &req, &backends, deadline)
-    };
-    let hw_race = race(Measure::Hw { max_k: max_hw });
-    let ghw_race = race(Measure::Ghw { cutoff: None });
-    let fhw_race = race(Measure::Fhw { cutoff: None });
-    let int_width = |r: &solver::portfolio::RaceReport| {
-        r.outcome
-            .width
-            .as_ref()
-            .map(|w| w.floor().to_i64().unwrap_or(0).max(0) as usize)
-    };
-    let widths = ExactWidths {
-        hw: int_width(&hw_race)?,
-        ghw: int_width(&ghw_race)?,
-        fhw: fhw_race.outcome.width.clone()?,
-    };
-    let stats = WidthStats {
-        hw: hw_race.outcome.stats.clone(),
-        ghw: ghw_race.outcome.stats.clone(),
-        fhw: fhw_race.outcome.stats.clone(),
-    };
-    Some((
-        widths,
-        stats,
-        WidthRaces {
-            hw: hw_race,
-            ghw: ghw_race,
-            fhw: fhw_race,
-        },
-    ))
-}
-
-/// Batch variant of [`exact_widths_portfolio`]: every instance goes
-/// through [`solver::solve_batch`] (admission-ordered, result-cache
-/// dedup'd) and each races its backends on arrival.
-pub fn exact_widths_portfolio_batch(
-    instances: &[Hypergraph],
-    max_hw: usize,
-    opts: solver::EngineOptions,
-    deadline: Option<std::time::Duration>,
-) -> Vec<Option<(ExactWidths, WidthStats, WidthRaces)>> {
-    solver::solve_batch(instances, |_, h| {
-        let result = exact_widths_portfolio(h, max_hw, opts, deadline);
-        let merged = result
-            .as_ref()
-            .map_or_else(SearchStats::default, |(_, s, _)| {
-                let mut total = s.hw.clone();
-                total.merge(&s.ghw);
-                total.merge(&s.fhw);
-                total
-            });
-        (result, merged)
-    })
-    .into_iter()
-    .map(|(r, _)| r)
-    .collect()
-}
-
-/// Batch variant of [`exact_widths_with_opts`]: solves every instance
-/// through [`solver::solve_batch`] — admission ordered by the
-/// `candgen` candidate-space estimate, one search at a time over the
-/// shared worker pool, whole-query answers deduplicated through the
-/// cross-call result registry (when `opts.reuse_results` is on, repeated
-/// instances in one batch report `result_cache_hits` instead of
-/// re-searching). Results come back in input order; a `None` entry means
-/// that instance exceeded the exact engines' limits or `max_hw`.
-pub fn exact_widths_batch(
-    instances: &[Hypergraph],
-    max_hw: usize,
-    opts: solver::EngineOptions,
-) -> Vec<Option<(ExactWidths, WidthStats)>> {
-    solver::solve_batch(instances, |_, h| {
-        let result = exact_widths_with_opts(h, max_hw, opts);
-        // solve_batch threads one SearchStats per item for schedulers that
-        // want it; the three per-engine records stay in WidthStats.
-        let merged = result.as_ref().map_or_else(SearchStats::default, |(_, s)| {
-            let mut total = s.hw.clone();
-            total.merge(&s.ghw);
-            total.merge(&s.fhw);
-            total
-        });
-        (result, merged)
-    })
-    .into_iter()
-    .map(|(r, _)| r)
-    .collect()
+    portfolio: bool,
+    deadline: Option<Duration>,
+) -> RaceReport {
+    let mut backends = backends_for(&measure);
+    if !portfolio {
+        backends.truncate(1);
+    }
+    let report = solver::portfolio::race(h, &WidthRequest { measure, opts }, &backends, deadline);
+    if report.winner.is_none() && report.canceled > 0 && solver::backend::interrupted() {
+        solver::backend::interrupt::raise();
+    }
+    report
 }
 
 #[cfg(test)]

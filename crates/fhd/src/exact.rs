@@ -56,7 +56,7 @@ pub fn fhw_exact(h: &Hypergraph, cutoff: Option<Rational>) -> Option<(Rational, 
 /// width, witness and stats are identical at every thread count (the
 /// determinism tests compare them).
 ///
-/// Unless opted out (`opts.prep` / `HGTOOL_NO_PREP`), the instance first
+/// Unless opted out (`opts.prep`), the instance first
 /// runs through `prep`'s minimizer pipeline: GYO-style simplification plus
 /// biconnected-block splitting, each block solved independently (candidate
 /// generation and the heuristic bound run per block), the width combined

@@ -35,7 +35,7 @@ pub fn check_hd(h: &Hypergraph, k: usize) -> Option<Decomposition> {
 /// `opts` pins the engine scheduling — `det-k-decomp` is a decision
 /// strategy, so it runs sequentially and stops at the first witness.
 ///
-/// Unless opted out (`opts.prep` / `HGTOOL_NO_PREP`), the instance first
+/// Unless opted out (`opts.prep`), the instance first
 /// runs through `prep`'s *decision* profile — duplicate-edge and
 /// twin-vertex collapse only, the passes that provably preserve `hw`'s
 /// special condition (no block splitting: re-rooting a block tree is not
@@ -77,7 +77,7 @@ fn check_hd_piece(
 /// `hw(H)` by iterating `k = 1, 2, ...` up to `max_k`; returns the width and
 /// a witness HD, or `None` if `hw(H) > max_k`.
 pub fn hypertree_width(h: &Hypergraph, max_k: usize) -> Option<(usize, Decomposition)> {
-    (1..=max_k).find_map(|k| check_hd(h, k).map(|d| (k, d)))
+    hypertree_width_with_stats(h, max_k, EngineOptions::default()).0
 }
 
 /// As [`hypertree_width`], also reporting the engine counters summed over

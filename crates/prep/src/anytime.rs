@@ -155,7 +155,6 @@ struct SinkState {
     upper: Option<(Rational, Option<Decomposition>)>,
     trace: Vec<BoundEvent>,
     first_bound: Option<Duration>,
-    listeners: Vec<BoundSink>,
 }
 
 struct SinkShared {
@@ -188,7 +187,6 @@ impl BoundSink {
                     upper: None,
                     trace: Vec::new(),
                     first_bound: None,
-                    listeners: Vec::new(),
                 }),
             }),
             lift: None,
@@ -233,28 +231,21 @@ impl BoundSink {
 
     /// Reports a certified lower bound; ignored unless it improves.
     pub fn report_lower(&self, lb: Rational) {
-        let listeners;
-        {
-            let mut st = self.lock();
-            if st.lower.as_ref().is_some_and(|cur| *cur >= lb) {
-                return;
-            }
-            st.lower = Some(lb.clone());
-            st.trace.push(BoundEvent::Lower(lb.clone()));
-            if st.first_bound.is_none() {
-                st.first_bound = Some(self.shared.created.elapsed());
-            }
-            listeners = st.listeners.clone();
+        let mut st = self.lock();
+        if st.lower.as_ref().is_some_and(|cur| *cur >= lb) {
+            return;
         }
-        for l in listeners {
-            l.report_lower(lb.clone());
+        st.trace.push(BoundEvent::Lower(lb.clone()));
+        st.lower = Some(lb);
+        if st.first_bound.is_none() {
+            st.first_bound = Some(self.shared.created.elapsed());
         }
     }
 
     /// Reports a witness-backed upper bound; ignored unless it improves.
     /// The witness (if any) is passed through this handle's lift before
-    /// being stored, so listeners and snapshots always see it in
-    /// original-instance terms.
+    /// being stored, so snapshots always see it in original-instance
+    /// terms.
     pub fn report_upper(&self, ub: Rational, witness: Option<&Decomposition>) {
         if !self.upper_enabled {
             return;
@@ -263,65 +254,14 @@ impl BoundSink {
             Some(f) => f(d),
             None => d.clone(),
         });
-        let listeners;
-        {
-            let mut st = self.lock();
-            if st.upper.as_ref().is_some_and(|(cur, _)| *cur <= ub) {
-                return;
-            }
-            st.upper = Some((ub.clone(), lifted.clone()));
-            st.trace.push(BoundEvent::Upper(ub.clone()));
-            if st.first_bound.is_none() {
-                st.first_bound = Some(self.shared.created.elapsed());
-            }
-            listeners = st.listeners.clone();
-        }
-        for l in listeners {
-            // Already lifted into this sink's frame; forward as-is.
-            l.forward_upper(ub.clone(), lifted.as_ref());
-        }
-    }
-
-    /// Forwards an already-lifted upper bound (listener fan-out skips the
-    /// local lift, which belongs to the reporting frame, not ours).
-    fn forward_upper(&self, ub: Rational, witness: Option<&Decomposition>) {
-        if !self.upper_enabled {
+        let mut st = self.lock();
+        if st.upper.as_ref().is_some_and(|(cur, _)| *cur <= ub) {
             return;
         }
-        let listeners;
-        {
-            let mut st = self.lock();
-            if st.upper.as_ref().is_some_and(|(cur, _)| *cur <= ub) {
-                return;
-            }
-            st.upper = Some((ub.clone(), witness.cloned()));
-            st.trace.push(BoundEvent::Upper(ub.clone()));
-            if st.first_bound.is_none() {
-                st.first_bound = Some(self.shared.created.elapsed());
-            }
-            listeners = st.listeners.clone();
-        }
-        for l in listeners {
-            l.forward_upper(ub.clone(), witness);
-        }
-    }
-
-    /// Attaches `listener`: it immediately receives the current bounds
-    /// (so a late joiner sees best-so-far) and every future improving
-    /// report. This is how waiters parked on an in-flight deduplicated
-    /// query observe the owner's anytime bounds.
-    pub fn attach(&self, listener: BoundSink) {
-        let replay = {
-            let mut st = self.lock();
-            let snap = (st.lower.clone(), st.upper.clone());
-            st.listeners.push(listener.clone());
-            snap
-        };
-        if let Some(lb) = replay.0 {
-            listener.report_lower(lb);
-        }
-        if let Some((ub, w)) = replay.1 {
-            listener.forward_upper(ub, w.as_ref());
+        st.trace.push(BoundEvent::Upper(ub.clone()));
+        st.upper = Some((ub, lifted));
+        if st.first_bound.is_none() {
+            st.first_bound = Some(self.shared.created.elapsed());
         }
     }
 
@@ -542,21 +482,12 @@ mod tests {
     }
 
     #[test]
-    fn lifts_apply_and_listeners_replay() {
+    fn lifts_apply_before_storing() {
         let sink = BoundSink::new();
         // A lift that re-tags the witness: block-local bag {7} lifts to {9}.
         let lifted = sink.with_lift(|_| witness(9));
         lifted.report_upper(rat(2, 1), Some(&witness(7)));
         assert!(sink.snapshot().witness.unwrap().node(0).bag.contains(9));
-
-        // A late listener immediately sees best-so-far, then new reports.
-        let late = BoundSink::new();
-        sink.attach(late.clone());
-        assert_eq!(late.snapshot().upper, Some(rat(2, 1)));
-        sink.report_lower(rat(1, 1));
-        assert_eq!(late.snapshot().lower, Some(rat(1, 1)));
-        // The replayed witness is the already-lifted one.
-        assert!(late.snapshot().witness.unwrap().node(0).bag.contains(9));
     }
 
     #[test]

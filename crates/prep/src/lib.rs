@@ -5,7 +5,7 @@
 //! and most of what survives splits at cut vertices into independently
 //! solvable biconnected blocks. This crate is the front door every
 //! strategy's `_with_stats` entry point walks through (opt-out via
-//! `EngineOptions::prep` or the `HGTOOL_NO_PREP` env var):
+//! `EngineOptions::prep`):
 //!
 //! 1. [`simplify`] — composable passes (duplicate/subsumed edges, twin
 //!    vertices, degree-one vertices; their fixpoint is the GYO
@@ -82,21 +82,6 @@ impl Profile {
     }
 }
 
-/// True when preprocessing should run: the per-call opt-in (the
-/// `EngineOptions::prep` flag) unless the `HGTOOL_NO_PREP` environment
-/// variable (any value) disables it process-wide.
-pub fn enabled(opt_in: bool) -> bool {
-    opt_in && std::env::var_os("HGTOOL_NO_PREP").is_none()
-}
-
-/// True when the cross-call price registry should be used: the per-call
-/// opt-in (`EngineOptions::reuse_prices`) unless `HGTOOL_NO_PREP` is set —
-/// the kill switch disables the *whole* prep subsystem, registry included,
-/// so an A/B baseline taken under it never touches this crate's state.
-pub fn reuse_enabled(opt_in: bool) -> bool {
-    opt_in && std::env::var_os("HGTOOL_NO_PREP").is_none()
-}
-
 /// Aggregate counts of one [`prepare`] run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PrepStats {
@@ -118,8 +103,6 @@ pub struct BlockInstance {
     pub edge_origin: Vec<usize>,
     /// The cut vertex (original index) shared with an earlier block.
     anchor: Option<usize>,
-    /// The block's canonical fingerprint (the cross-call cache key).
-    pub fingerprint: Fingerprint,
 }
 
 impl BlockInstance {
@@ -168,8 +151,8 @@ impl Prepared {
 /// (`det-k-decomp`, `frac-decomp`, the strict-HD check): run the
 /// conservative [`Profile::Decision`] passes, solve the single reduced
 /// block with `solve`, record the reduction counts and lift the witness
-/// back to `h`. With preprocessing disabled (per-call opt-out or the
-/// `HGTOOL_NO_PREP` kill switch) `solve` runs directly on `h`.
+/// back to `h`. With preprocessing disabled (`opt_in` false) `solve` runs
+/// directly on `h`.
 ///
 /// `T` is whatever extra payload the strategy returns alongside its
 /// witness (the accepted `k` of a width iteration, `()` for a plain
@@ -180,7 +163,7 @@ pub fn run_decision<T>(
     opt_in: bool,
     solve: impl FnOnce(&Hypergraph) -> (Option<(T, Decomposition)>, SearchStats),
 ) -> (Option<(T, Decomposition)>, SearchStats) {
-    if !enabled(opt_in) {
+    if !opt_in {
         return solve(h);
     }
     let prepared = Arc::new(prepare(h, Profile::Decision));
@@ -219,7 +202,7 @@ pub fn run_minimizer<C: PartialOrd + Clone + Into<Rational>>(
     opt_in: bool,
     mut solve: impl FnMut(&Hypergraph) -> (Option<(C, Decomposition)>, SearchStats),
 ) -> (Option<(C, Decomposition)>, SearchStats) {
-    if !enabled(opt_in) {
+    if !opt_in {
         return solve(h);
     }
     let prepared = Arc::new(prepare(h, Profile::Minimizer));
@@ -342,7 +325,6 @@ pub fn prepare(h: &Hypergraph, profile: Profile) -> Prepared {
             .collect()
     } else {
         vec![BlockInstance {
-            fingerprint: fingerprint(&reduced),
             hypergraph: reduced,
             vertex_origin,
             edge_origin: simplified.alive_edges.clone(),
@@ -393,7 +375,6 @@ fn block_instance(
         contents,
     );
     BlockInstance {
-        fingerprint: fingerprint(&hypergraph),
         hypergraph,
         vertex_origin: verts.iter().map(|&v| reduced_vertex_origin[v]).collect(),
         edge_origin: edges.iter().map(|&e| reduced_edge_origin[e]).collect(),
@@ -445,11 +426,5 @@ mod tests {
             assert_eq!(b.hypergraph.num_vertices(), 3);
             assert_eq!(b.hypergraph.num_edges(), 3);
         }
-    }
-
-    #[test]
-    fn env_override_disables_prep() {
-        assert!(enabled(true) || std::env::var_os("HGTOOL_NO_PREP").is_some());
-        assert!(!enabled(false));
     }
 }

@@ -27,12 +27,14 @@
 //! `/solve` and `/solve/batch` bodies share these optional fields:
 //!
 //! * `measure` — `widths` (default), `hw`, `ghw` or `fhw`;
-//! * `portfolio` — race each measure's backend registry instead of the
-//!   plain path: `iterate` for `hw`, `engine` + `elim` for `ghw` and
-//!   `fhw`. Widths are byte-identical to the plain path; the response
-//!   adds a `winners` object naming each race's winner;
+//! * `portfolio` — picks the member list each measure races through
+//!   `hypertree_core::resolve`: the whole registry (`iterate` for `hw`,
+//!   `engine` + `elim` for `ghw` and `fhw`) when true, the default
+//!   backend alone otherwise. Widths are byte-identical either way; with
+//!   `portfolio` the response adds a `winners` object naming each race's
+//!   winner;
 //! * `deadline_ms` — a non-negative integer; bounds the whole solve and
-//!   each portfolio race;
+//!   every race in it;
 //! * `max_hw` — an integer in `1..=64` (default 8);
 //! * `witness` — also render each width's witness decomposition.
 //!
@@ -53,7 +55,10 @@
 //! request token is a child of the server root `CancelToken` with the
 //! request's deadline, installed as the ambient `RunCtl` for the
 //! solve; the engine root picks it up and unwinds with the interrupt
-//! payload when it expires. Draining (SIGTERM/ctrl-c, `POST
+//! payload when it expires. A race that ends unresolved because that
+//! token fired re-raises the interrupt, so a deadline strike answers 504
+//! (and counts in `hgtool_serve_deadline_expired_total`) in both modes,
+//! for single and batch requests alike. Draining (SIGTERM/ctrl-c, `POST
 //! /admin/drain`, or [`Server::drain`]) stops accepting, waits for
 //! in-flight requests up to a grace period, then cancels the root
 //! token so stragglers unwind through the same chains, and flushes

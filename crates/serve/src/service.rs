@@ -1,17 +1,15 @@
-//! Request routing and the solve paths: JSON in (via `obs::json`),
-//! solves through the engine / portfolio with the request's deadline
-//! as an ambient cancellation token, JSON out, with the request-id on
-//! the root span, per-request trace sampling, and the slow-request
-//! log.
+//! Request routing and the solve path: JSON in (via `obs::json`), each
+//! measure resolved through `hypertree_core::resolve` with the request's
+//! deadline as an ambient cancellation token, JSON out, with the
+//! request-id on the root span, per-request trace sampling, and the
+//! slow-request log.
 
 use crate::http::{json_escape, Request, Response};
 use crate::metrics::{handles, Endpoint};
 use crate::server::Shared;
 use hypertree_core::hypergraph::{parser, Hypergraph};
 use hypertree_core::prep::anytime::{interrupt, with_ctl, RunCtl};
-use hypertree_core::solver::backend::{Measure, WidthRequest};
-use hypertree_core::solver::portfolio::{race, RaceReport};
-use hypertree_core::{fhd, ghd, hd, solver};
+use hypertree_core::solver;
 use obs::json::Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -48,6 +46,11 @@ impl MeasureSel {
             MeasureSel::Ghw => "ghw",
             MeasureSel::Fhw => "fhw",
         }
+    }
+
+    /// Whether the selection asks for the measure named `name`.
+    fn includes(self, name: &str) -> bool {
+        self == MeasureSel::Widths || self.label() == name
     }
 }
 
@@ -109,6 +112,7 @@ impl SolveParams {
 }
 
 /// What a solve produced for one instance, ready for JSON assembly.
+#[derive(Default)]
 struct SolveBody {
     /// `(measure label, rendered width)` pairs — numbers stay raw
     /// (`3`), rationals are quoted strings (`"5/3"`), matching the
@@ -116,18 +120,10 @@ struct SolveBody {
     widths: Vec<(&'static str, String)>,
     /// `(measure label, rendered witness)` when requested.
     witnesses: Vec<(&'static str, String)>,
-    /// `(measure label, winning backend)` on the portfolio path.
+    /// `(measure label, winning backend)` on portfolio requests.
     winners: Vec<(&'static str, String)>,
     /// Whether any engine answered from the cross-call result cache.
     cached: bool,
-}
-
-/// Why one instance's solve produced no widths.
-enum SolveFail {
-    /// Out of the exact engines' range (or `hw > max_hw`).
-    OutOfRange,
-    /// A portfolio race ended unresolved without a deadline strike.
-    Unresolved,
 }
 
 fn rat_json(w: &hypertree_core::arith::Rational) -> String {
@@ -141,119 +137,33 @@ fn rat_json(w: &hypertree_core::arith::Rational) -> String {
     }
 }
 
-fn cached(stats: &solver::SearchStats) -> bool {
-    stats.result_cache_hits > 0
-}
-
-/// The plain (single-backend) solve: per-measure engine calls, exactly
-/// the ones `exact_widths_with_opts` makes, so widths and witnesses
-/// are byte-identical to the direct API.
-fn solve_plain(
-    h: &Hypergraph,
-    p: &SolveParams,
-    opts: solver::EngineOptions,
-) -> Result<SolveBody, SolveFail> {
-    let mut body = SolveBody {
-        widths: Vec::new(),
-        witnesses: Vec::new(),
-        winners: Vec::new(),
-        cached: false,
-    };
-    let keep = |body: &mut SolveBody,
-                name: &'static str,
-                width: String,
-                d: hypertree_core::decomp::Decomposition,
-                stats: &solver::SearchStats| {
-        body.widths.push((name, width));
-        if p.witness {
-            body.witnesses.push((name, d.render(h)));
+/// Solves one instance: each requested measure goes through
+/// [`hypertree_core::resolve`] — the default backend alone, or the whole
+/// registry racing when the request sets `portfolio` — under the
+/// request's deadline. `None` when some measure has no width (out of the
+/// exact engines' range, or `hw > max_hw`); a deadline strike unwinds
+/// out of here as an interrupt.
+fn solve(h: &Hypergraph, p: &SolveParams, opts: solver::EngineOptions) -> Option<SolveBody> {
+    let mut body = SolveBody::default();
+    for measure in hypertree_core::width_measures(p.max_hw) {
+        let name = measure.name();
+        if !p.measure.includes(name) {
+            continue;
         }
-        body.cached |= cached(stats);
-    };
-    if matches!(p.measure, MeasureSel::Widths | MeasureSel::Hw) {
-        let (hw, stats) = hd::hypertree_width_with_stats(h, p.max_hw, opts);
-        let (k, d) = hw.ok_or(SolveFail::OutOfRange)?;
-        keep(&mut body, "hw", k.to_string(), d, &stats);
-    }
-    if matches!(p.measure, MeasureSel::Widths | MeasureSel::Ghw) {
-        let (ghw, stats) = ghd::ghw_exact_with_stats(h, None, opts);
-        let (k, d) = ghw.ok_or(SolveFail::OutOfRange)?;
-        keep(&mut body, "ghw", k.to_string(), d, &stats);
-    }
-    if matches!(p.measure, MeasureSel::Widths | MeasureSel::Fhw) {
-        let (fhw, stats) = fhd::fhw_exact_with_stats(h, None, opts);
-        let (w, d) = fhw.ok_or(SolveFail::OutOfRange)?;
-        keep(&mut body, "fhw", rat_json(&w), d, &stats);
-    }
-    Ok(body)
-}
-
-/// The portfolio solve: each requested measure races its backend
-/// registry under the request's deadline; first exact answer wins,
-/// losers are cancelled.
-fn solve_portfolio(
-    h: &Hypergraph,
-    p: &SolveParams,
-    opts: solver::EngineOptions,
-) -> Result<SolveBody, SolveFail> {
-    let mut body = SolveBody {
-        widths: Vec::new(),
-        witnesses: Vec::new(),
-        winners: Vec::new(),
-        cached: false,
-    };
-    let measures: Vec<(&'static str, Measure)> = match p.measure {
-        MeasureSel::Widths => vec![
-            ("hw", Measure::Hw { max_k: p.max_hw }),
-            ("ghw", Measure::Ghw { cutoff: None }),
-            ("fhw", Measure::Fhw { cutoff: None }),
-        ],
-        MeasureSel::Hw => vec![("hw", Measure::Hw { max_k: p.max_hw })],
-        MeasureSel::Ghw => vec![("ghw", Measure::Ghw { cutoff: None })],
-        MeasureSel::Fhw => vec![("fhw", Measure::Fhw { cutoff: None })],
-    };
-    for (name, measure) in measures {
-        let backends = hypertree_core::backends_for(&measure);
-        let req = WidthRequest { measure, opts };
-        let r: RaceReport = race(h, &req, &backends, p.deadline);
-        let Some(width) = r.outcome.width.clone() else {
-            return Err(if r.winner.is_some() {
-                // A certified "no" within the cutoff window.
-                SolveFail::OutOfRange
-            } else {
-                SolveFail::Unresolved
-            });
-        };
-        let rendered = if name == "fhw" {
-            rat_json(&width)
-        } else {
-            // Integral measures report integral rationals.
-            width.floor().to_i64().unwrap_or(0).max(0).to_string()
-        };
-        body.widths.push((name, rendered));
+        let r = hypertree_core::resolve(h, measure, opts, p.portfolio, p.deadline);
+        body.widths
+            .push((name, rat_json(r.outcome.width.as_ref()?)));
         if p.witness {
             if let Some(d) = &r.outcome.witness {
                 body.witnesses.push((name, d.render(h)));
             }
         }
-        if let Some(winner) = r.winner {
+        if let (true, Some(winner)) = (p.portfolio, r.winner) {
             body.winners.push((name, winner.to_string()));
         }
-        body.cached |= cached(&r.outcome.stats);
+        body.cached |= r.outcome.stats.result_cache_hits > 0;
     }
-    Ok(body)
-}
-
-fn solve_dispatch(
-    h: &Hypergraph,
-    p: &SolveParams,
-    opts: solver::EngineOptions,
-) -> Result<SolveBody, SolveFail> {
-    if p.portfolio {
-        solve_portfolio(h, p, opts)
-    } else {
-        solve_plain(h, p, opts)
-    }
+    Some(body)
 }
 
 /// Renders one instance's solved body as a JSON object fragment
@@ -496,17 +406,9 @@ fn solve_endpoint(shared: &Shared, req: &Request, batch: bool) -> Response {
         run_guarded(shared, params.deadline, || {
             if batch {
                 let hs: Vec<Hypergraph> = instances.iter().map(|(_, h)| h.clone()).collect();
-                solver::solve_batch(&hs, |_, h| {
-                    let result = solve_dispatch(h, &params, shared.engine_opts);
-                    // solve_batch threads per-item stats to its
-                    // schedulers; the response only keeps the bodies.
-                    (result, solver::SearchStats::default())
-                })
-                .into_iter()
-                .map(|(r, _)| r)
-                .collect::<Vec<_>>()
+                solver::solve_batch(&hs, |_, h| solve(h, &params, shared.engine_opts))
             } else {
-                vec![solve_dispatch(&instances[0].1, &params, shared.engine_opts)]
+                vec![solve(&instances[0].1, &params, shared.engine_opts)]
             }
         })
     };
@@ -554,13 +456,9 @@ fn solve_endpoint(shared: &Shared, req: &Request, batch: bool) -> Response {
             .iter()
             .zip(&results)
             .map(|((name, _), r)| match r {
-                Ok(body) => format!("{{\"name\":{},{}}}", json_escape(name), body_fields(body)),
-                Err(SolveFail::OutOfRange) => format!(
+                Some(body) => format!("{{\"name\":{},{}}}", json_escape(name), body_fields(body)),
+                None => format!(
                     "{{\"name\":{},\"error\":\"out of exact range\"}}",
-                    json_escape(name)
-                ),
-                Err(SolveFail::Unresolved) => format!(
-                    "{{\"name\":{},\"error\":\"race unresolved\"}}",
                     json_escape(name)
                 ),
             })
@@ -576,11 +474,8 @@ fn solve_endpoint(shared: &Shared, req: &Request, batch: bool) -> Response {
         )
     } else {
         match &results[0] {
-            Ok(body) => Response::json(200, format!("{{{},{}}}\n", body_fields(body), tail)),
-            Err(SolveFail::OutOfRange) => {
-                Response::error(422, "instance out of exact range (or hw > max_hw)")
-            }
-            Err(SolveFail::Unresolved) => Response::error(422, "race unresolved"),
+            Some(body) => Response::json(200, format!("{{{},{}}}\n", body_fields(body), tail)),
+            None => Response::error(422, "instance out of exact range (or hw > max_hw)"),
         }
     };
     with_id(resp)

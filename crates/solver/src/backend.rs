@@ -19,15 +19,16 @@
 //!   witness-backed, already lifted to the original instance).
 //!
 //! [`execute`] is the one driver: it installs the control as the ambient
-//! channel of the calling thread (the engine root, the prep lift hooks
-//! and the result-cache dedup all pick it up from there), runs the
+//! channel of the calling thread (the engine root and the prep lift
+//! hooks pick it up from there), runs the
 //! backend, and closes the bounds on an exact answer so a finished run
 //! always ends with `lb == ub == width`.
 //!
-//! The existing public `_with_stats` functions remain the plain
-//! (non-racing) front doors and are byte-identical to what they returned
-//! before this layer existed; backends reuse their internals rather than
-//! wrapping their outputs.
+//! Backends call the public `_with_stats` functions directly, so a
+//! backend's answer is byte-identical to the direct call. The front ends
+//! (`hgtool widths`, serve, `hypertree_core::exact_widths`) resolve every
+//! measure through `hypertree_core::resolve`, which races either the
+//! whole registry or its default member alone.
 
 use crate::{EngineOptions, SearchStats};
 use arith::Rational;
@@ -176,9 +177,8 @@ pub trait Backend: Send + Sync {
 
 /// Runs `backend` under `ctl` installed as the calling thread's ambient
 /// control: the engine root anchors its cancellation checks to
-/// `ctl.cancel`, the prep pipeline lifts reported witnesses through
-/// `ctl.sink`, and the result-cache dedup makes the sink observable to
-/// waiters. On an exact answer the bounds are closed
+/// `ctl.cancel` and the prep pipeline lifts reported witnesses through
+/// `ctl.sink`. On an exact answer the bounds are closed
 /// (`lb == ub == width`) before returning.
 pub fn execute(backend: &dyn Backend, h: &Hypergraph, req: &WidthRequest, ctl: &RunCtl) -> Outcome {
     let outcome = with_ctl(ctl.clone(), || backend.run(h, req, ctl));

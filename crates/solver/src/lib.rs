@@ -118,8 +118,7 @@ pub struct EngineOptions {
     /// Run the width-preserving preprocessing pipeline (simplification
     /// passes + biconnected-block splitting where the strategy supports
     /// it) before the search, lifting the witness back to the original
-    /// hypergraph. On by default; `HGTOOL_NO_PREP` (any value) overrides
-    /// it off process-wide.
+    /// hypergraph. On by default; `hgtool widths --no-prep` turns it off.
     pub prep: bool,
     /// Serve `ρ`/`ρ*` (and strategy-specific LP) prices from the
     /// process-lifetime cache keyed by hypergraph fingerprint, so repeated
@@ -177,7 +176,7 @@ impl EngineOptions {
     }
 
     /// Disables the preprocessing pipeline (A/B debugging; also reachable
-    /// via `hgtool widths --no-prep` and the `HGTOOL_NO_PREP` env var).
+    /// via `hgtool widths --no-prep`).
     pub fn without_prep(mut self) -> Self {
         self.prep = false;
         self

@@ -22,9 +22,10 @@
 //!   abandon their result-cache claims on the way out. [`race`] joins
 //!   every backend thread before returning, so no portfolio work — pool
 //!   rounds included — survives the race;
-//! * **anytime reporting**: all backends feed one monotone sink, so the
-//!   caller observes the tightest bounds any member achieved; on an
-//!   exact win the sink closes at `lb == ub == width`.
+//! * **anytime reporting**: all backends feed one monotone sink, and the
+//!   [`RaceReport`] carries the tightest bounds any member achieved and
+//!   the accepted trace; on an exact win the sink closes at
+//!   `lb == ub == width`.
 
 use crate::backend::{execute, Backend, BackendId, Bounds, Outcome, WidthRequest};
 use hypergraph::Hypergraph;
@@ -50,7 +51,8 @@ pub fn deadline_from_env() -> Option<Duration> {
 pub struct RaceReport {
     /// The winning outcome (first resolved answer), or an unresolved
     /// outcome carrying the best witness the sink saw when everything
-    /// timed out or gave up.
+    /// timed out or gave up, with the merged counters of the members
+    /// that gave up.
     pub outcome: Outcome,
     /// The winner's id; `None` when no backend resolved the request.
     pub winner: Option<BackendId>,
@@ -58,7 +60,9 @@ pub struct RaceReport {
     pub raced: Vec<BackendId>,
     /// How many backends were cancelled (unwound losers).
     pub canceled: usize,
-    /// Best-so-far bounds at the end of the race.
+    /// Best-so-far bounds at the end of the race. An exact win closes
+    /// them at its width and leaves the witness in `outcome.witness`
+    /// (`bounds.witness` is `None` then).
     pub bounds: Bounds,
     /// The accepted bound-report sequence of the merged sink.
     pub trace: Vec<BoundEvent>,
@@ -73,9 +77,8 @@ pub struct RaceReport {
 /// worker pool), the first resolved answer cancels the rest, and every
 /// backend thread is joined before this returns. A single admitted member
 /// runs inline on the calling thread. If the caller itself runs under an
-/// ambient [`RunCtl`], the race chains to it: the caller's cancellation
-/// reaches every member, and the merged bounds forward to the caller's
-/// sink.
+/// ambient [`RunCtl`], the race chains to its token, so the caller's
+/// cancellation reaches every member; the bounds stay in the report.
 pub fn race(
     h: &Hypergraph,
     req: &WidthRequest,
@@ -101,9 +104,6 @@ pub fn race(
     let race_span = obs::span!("race", measure = req.measure.name(), backends = raced.len());
 
     let sink = BoundSink::new();
-    if let Some(outer) = anytime::current_sink() {
-        sink.attach(outer);
-    }
     let root = match anytime::current_cancel() {
         Some(t) => t.child_with_deadline(deadline),
         None => match deadline {
@@ -116,6 +116,8 @@ pub fn race(
     let start = Instant::now();
     // First resolved answer wins; the mutex is the tiebreak.
     let winner: Mutex<Option<(usize, Outcome, Duration)>> = Mutex::new(None);
+    // Counters of the members that returned without resolving.
+    let gave_up: Mutex<crate::SearchStats> = Mutex::default();
     let member = |i: usize| {
         let backend = admitted[i];
         let ctl = RunCtl {
@@ -144,6 +146,11 @@ pub fn race(
                     }
                 }
             }
+        } else {
+            gave_up
+                .lock()
+                .expect("portfolio stats poisoned")
+                .merge(&outcome.stats);
         }
     };
     let results: Vec<std::thread::Result<()>> = if admitted.len() == 1 {
@@ -175,7 +182,16 @@ pub fn race(
         span.record("canceled", canceled);
         span.record("won", won.is_some());
     }
-    let bounds = sink.snapshot();
+    let bounds = match &won {
+        // An exact win closed the bounds at its width (`execute`); its
+        // witness is the outcome's, so skip cloning the sink's copy.
+        Some((_, Outcome { width: Some(w), .. }, _)) => Bounds {
+            lower: Some(w.clone()),
+            upper: Some(w.clone()),
+            witness: None,
+        },
+        _ => sink.snapshot(),
+    };
     let trace = sink.trace();
     let time_to_first_bound = sink.time_to_first_bound();
     if let (Some(span), Some(d)) = (race_span.as_ref(), time_to_first_bound) {
@@ -197,7 +213,7 @@ pub fn race(
                 width: None,
                 witness: bounds.witness.clone(),
                 resolved: false,
-                stats: crate::SearchStats::default(),
+                stats: gave_up.into_inner().expect("portfolio stats poisoned"),
                 provenance: "portfolio",
             },
             winner: None,

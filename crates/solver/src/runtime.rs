@@ -19,7 +19,6 @@
 //! memo caches — but the admission *order* is the scheduling decision,
 //! and results are returned in input order regardless.
 
-use crate::SearchStats;
 use hypergraph::Hypergraph;
 
 /// The union arity the admission estimate prices the candidate space at.
@@ -48,20 +47,21 @@ pub fn admission_estimate(h: &Hypergraph) -> u64 {
 ///
 /// `solve` receives the input index alongside the instance, so callers
 /// can vary per-instance parameters (cutoffs, strategy choices) while the
-/// runtime owns the schedule. Every per-instance result carries its own
-/// [`SearchStats`]; with result reuse on, duplicate instances in one
-/// batch report `result_cache_hits` for every admission after the first.
+/// runtime owns the schedule; whatever it returns per instance (counters
+/// included, if the caller wants them) comes back untouched. With result
+/// reuse on, duplicate instances in one batch resolve from the result
+/// cache for every admission after the first.
 pub fn solve_batch<R>(
     instances: &[Hypergraph],
-    mut solve: impl FnMut(usize, &Hypergraph) -> (R, SearchStats),
-) -> Vec<(R, SearchStats)> {
+    mut solve: impl FnMut(usize, &Hypergraph) -> R,
+) -> Vec<R> {
     let keys: Vec<(u64, usize, usize)> = instances
         .iter()
         .map(|h| (admission_estimate(h), h.num_vertices(), h.num_edges()))
         .collect();
     let mut order: Vec<usize> = (0..instances.len()).collect();
     order.sort_by_key(|&i| (keys[i], i));
-    let mut results: Vec<Option<(R, SearchStats)>> = (0..instances.len()).map(|_| None).collect();
+    let mut results: Vec<Option<R>> = (0..instances.len()).map(|_| None).collect();
     for i in order {
         results[i] = Some(solve(i, &instances[i]));
     }
@@ -86,10 +86,10 @@ mod tests {
         let mut admitted: Vec<usize> = Vec::new();
         let results = solve_batch(&instances, |i, h| {
             admitted.push(i);
-            ((i, h.num_edges()), SearchStats::default())
+            (i, h.num_edges())
         });
         // Input order out...
-        let indices: Vec<usize> = results.iter().map(|((i, _), _)| *i).collect();
+        let indices: Vec<usize> = results.iter().map(|(i, _)| *i).collect();
         assert_eq!(indices, vec![0, 1, 2]);
         // ...but the path (2 edges) was admitted before the cycle
         // (5 edges) before the clique (15 edges).

@@ -15,16 +15,19 @@
 //!                                     (pivot/warm-start) + runtime
 //!                                     (result-cache/dedup) counters,
 //!                                     --no-prep bypasses the preprocessing
-//!                                     pipeline and its cross-call caches
-//!                                     (also: HGTOOL_NO_PREP env var),
+//!                                     pipeline and its cross-call caches,
 //!                                     --heuristic-only prints the candgen
 //!                                     upper bounds + witnesses without any
 //!                                     exact search (any instance size),
-//!                                     --portfolio races each width's
-//!                                     backend registry (hw: iterate;
-//!                                     ghw/fhw: engine + elim DP), first
-//!                                     exact answer wins, losers cancelled;
-//!                                     HGTOOL_DEADLINE_MS bounds each race;
+//!                                     every width resolves as a race:
+//!                                     without --portfolio the default
+//!                                     backend runs alone, --portfolio
+//!                                     races the whole registry (hw:
+//!                                     iterate; ghw/fhw: engine + elim DP),
+//!                                     first exact answer wins, losers
+//!                                     cancelled, winners printed;
+//!                                     HGTOOL_DEADLINE_MS bounds every
+//!                                     race in both modes;
 //!                                     --trace prints the span tree + phase
 //!                                     totals, --trace-json <file> writes
 //!                                     the hgtool-trace/v1 JSONL stream,
@@ -68,6 +71,8 @@ use hypertree::ghd::{self, SubedgeLimits};
 use hypertree::hypergraph::{parser, Hypergraph};
 use hypertree::prep;
 use hypertree::reduction::{self, Cnf};
+use hypertree::solver::backend::{BoundEvent, Measure};
+use hypertree::solver::portfolio::RaceReport;
 use hypertree::solver::EngineOptions;
 use hypertree::{analyze_structure, hd};
 use std::io::Read;
@@ -151,29 +156,27 @@ fn run(args: &[String]) -> Result<(), String> {
                 // in-process work so the sinks describe this command only.
                 obs::trace::drain();
             }
+            let mode = WidthsMode {
+                opts: widths_options(no_prep),
+                portfolio,
+                deadline: hypertree::solver::portfolio::deadline_from_env(),
+                stats,
+            };
             let records = match files.as_slice() {
                 [] => return Err("widths needs at least one file".into()),
                 [file] if heuristic_only => {
                     heuristic_widths(&load(file)?, no_prep)?;
                     drain_if_tracing()
                 }
-                [file] if portfolio => {
-                    widths_portfolio(&load(file)?, stats, no_prep)?;
-                    drain_if_tracing()
-                }
-                [file] => widths(&load(file)?, stats, no_prep)?,
+                [file] => widths(&load(file)?, &mode)?,
                 many if heuristic_only => {
                     return Err(format!(
                         "--heuristic-only takes one file, got {}",
                         many.len()
                     ))
                 }
-                many if portfolio => {
-                    widths_portfolio_batch(many, stats, no_prep)?;
-                    drain_if_tracing()
-                }
                 many => {
-                    widths_batch(many, stats, no_prep)?;
+                    widths_batch(many, &mode)?;
                     drain_if_tracing()
                 }
             };
@@ -539,145 +542,157 @@ fn widths_options(no_prep: bool) -> EngineOptions {
     opts
 }
 
-fn widths(
-    h: &Hypergraph,
+/// What one `hgtool widths` run resolves with: the engine options, the
+/// member list (`--portfolio` races the whole registry, otherwise the
+/// default backend runs alone), the `HGTOOL_DEADLINE_MS` race deadline
+/// (read once), and whether `--stats` was given.
+struct WidthsMode {
+    opts: EngineOptions,
+    portfolio: bool,
+    deadline: Option<std::time::Duration>,
     stats: bool,
-    no_prep: bool,
-) -> Result<Vec<obs::trace::SpanRecord>, String> {
-    let opts = widths_options(no_prep);
-    // Per-width calls rather than `exact_widths_with_opts`: the candgen
-    // edge-union engine reaches instance sizes where the fhw subset/DP
-    // engines no longer answer, so each width degrades to `n/a`
-    // independently instead of failing the whole command. Draining the
-    // span buffer between the calls attributes each span batch to its
-    // measure for the phase-time columns.
-    let (hw, hw_stats) = hd::hypertree_width_with_stats(h, 8, opts);
-    let hw_spans = drain_if_tracing();
-    let (ghw, ghw_stats) = ghd::ghw_exact_with_stats(h, None, opts);
-    let ghw_spans = drain_if_tracing();
-    let (fhw, fhw_stats) = fhd::fhw_exact_with_stats(h, None, opts);
-    let fhw_spans = drain_if_tracing();
-    if hw.is_none() && ghw.is_none() && fhw.is_none() {
+}
+
+impl WidthsMode {
+    fn resolve(&self, h: &Hypergraph, measure: Measure) -> RaceReport {
+        hypertree::resolve(h, measure, self.opts, self.portfolio, self.deadline)
+    }
+}
+
+/// True when a race ended without an answer because its deadline struck.
+fn timed_out(r: &RaceReport) -> bool {
+    r.winner.is_none() && r.canceled > 0
+}
+
+/// `hgtool widths <file>`: each measure resolves on its own, so each width
+/// degrades to `n/a` (or, with `--portfolio`, to its best bounds)
+/// independently instead of failing the whole command. Draining the span
+/// buffer between the measures attributes each span batch to its measure
+/// for the phase-time columns.
+fn widths(h: &Hypergraph, mode: &WidthsMode) -> Result<Vec<obs::trace::SpanRecord>, String> {
+    let mut races: Vec<(&str, RaceReport)> = Vec::with_capacity(3);
+    let mut spans: Vec<Vec<obs::trace::SpanRecord>> = Vec::with_capacity(3);
+    for measure in hypertree::width_measures(8) {
+        races.push((measure.name(), mode.resolve(h, measure)));
+        spans.push(drain_if_tracing());
+    }
+    if mode.portfolio {
+        print_races(&races, mode.stats);
+        return Ok(spans.concat());
+    }
+    if races
+        .iter()
+        .all(|(_, r)| r.outcome.width.is_none() && !timed_out(r))
+    {
         return Err("instance too large for the exact engines \
                     (try --heuristic-only for witness-backed bounds)"
             .into());
     }
-    let s = hypertree::WidthStats {
-        hw: hw_stats,
-        ghw: ghw_stats,
-        fhw: fhw_stats,
-    };
-    let fmt = |v: Option<String>| v.unwrap_or_else(|| "n/a (out of exact range)".into());
-    println!("hw  = {}", fmt(hw.map(|(k, _)| k.to_string())));
-    println!("ghw = {}", fmt(ghw.map(|(k, _)| k.to_string())));
-    println!("fhw = {}", fmt(fhw.map(|(k, _)| k.to_string())));
-    if stats {
-        println!();
-        println!(
-            "threads: {} (override with HGTOOL_THREADS; counters are identical at every count)",
-            hypertree::solver::default_thread_count()
-        );
-        if prep::enabled(opts.prep) {
-            println!(
-                "prep: on (hw decision profile; ghw/fhw minimizer profile; \
-                 disable with --no-prep or HGTOOL_NO_PREP)"
-            );
-        } else {
-            println!("prep: off");
-        }
-        println!(
-            "engine        states  memo-hits   streamed   admitted   lp-cache       \
-             prep -v/-e/blocks   cand gen/filt   ub-seed"
-        );
-        for (name, t) in [("hw", &s.hw), ("ghw", &s.ghw), ("fhw", &s.fhw)] {
-            println!(
-                "{name:<10} {:>9} {:>10} {:>10} {:>10}   {}/{} ({:.0}% hit)   {}/{}/{}   {}/{}   {}",
-                t.states,
-                t.memo_hits,
-                t.streamed,
-                t.admitted,
-                t.price_hits,
-                t.price_hits + t.price_misses,
-                100.0 * t.price_hit_rate(),
-                t.prep_vertices_removed,
-                t.prep_edges_removed,
-                t.prep_blocks,
-                t.cand_generated,
-                t.cand_filtered,
-                t.ub_width
-                    .as_ref()
-                    .map(|w| w.to_string())
-                    .unwrap_or_else(|| "-".into()),
-            );
-        }
-        println!();
-        println!("engine     lp-pivots  warm-starts  cold-solves  cand-cap-hits");
-        for (name, t) in [("hw", &s.hw), ("ghw", &s.ghw), ("fhw", &s.fhw)] {
-            println!(
-                "{name:<10} {:>9} {:>12} {:>12} {:>14}",
-                t.lp_pivots, t.lp_warm_starts, t.lp_cold_solves, t.cand_cap_hits,
-            );
-        }
-        println!();
-        println!("engine     result-cache-hits  inflight-dedup");
-        for (name, t) in [("hw", &s.hw), ("ghw", &s.ghw), ("fhw", &s.fhw)] {
-            println!(
-                "{name:<10} {:>17} {:>14}",
-                t.result_cache_hits, t.inflight_dedup,
-            );
-        }
-        if obs::trace::enabled() {
-            // Phase times are span *self* times (a phase excludes its
-            // sub-phases), so the columns partition each measure's solve
-            // wall-clock instead of double counting nested work.
-            println!();
-            println!("engine       prep-us  candgen-us   search-us  pricing-us   all-phases-us");
-            for (name, spans) in [("hw", &hw_spans), ("ghw", &ghw_spans), ("fhw", &fhw_spans)] {
-                let totals = obs::trace::phase_totals(spans);
-                let get = |k: &str| totals.get(k).map(|&(_, s)| s).unwrap_or(0);
-                let all: u64 = totals.values().map(|&(_, s)| s).sum();
-                println!(
-                    "{name:<10} {:>9} {:>11} {:>11} {:>11} {:>15}",
-                    get("prep"),
-                    get("candgen"),
-                    get("state"),
-                    get("price"),
-                    all,
-                );
-            }
-        }
+    for (name, r) in &races {
+        let answer = match &r.outcome.width {
+            Some(w) => w.to_string(),
+            None if timed_out(r) => "n/a (deadline expired)".into(),
+            None => "n/a (out of exact range)".into(),
+        };
+        println!("{name:<3} = {answer}");
     }
-    let mut records = hw_spans;
-    records.extend(ghw_spans);
-    records.extend(fhw_spans);
-    Ok(records)
+    if mode.stats {
+        print_engine_stats(mode.opts, &races, &spans);
+    }
+    Ok(spans.concat())
 }
 
-/// `hgtool widths --portfolio`: each width measure races its backend
-/// registry — first exact answer wins, losers are cancelled through the
-/// engine's cancellation token — and the winner column names who won.
-/// `HGTOOL_DEADLINE_MS` arms each race's deadline; on a timeout the best
-/// witnessed bounds any member achieved are printed instead.
-fn widths_portfolio(h: &Hypergraph, stats: bool, no_prep: bool) -> Result<(), String> {
-    use hypertree::solver::backend::{Measure, WidthRequest};
-    use hypertree::solver::portfolio::{deadline_from_env, race, RaceReport};
-    let opts = widths_options(no_prep);
-    // Per-measure races rather than `exact_widths_portfolio`: like the
-    // plain path, each width degrades to `n/a` (or its best bounds)
-    // independently instead of failing the whole command.
-    let races: Vec<(&str, RaceReport)> = [
-        ("hw", Measure::Hw { max_k: 8 }),
-        ("ghw", Measure::Ghw { cutoff: None }),
-        ("fhw", Measure::Fhw { cutoff: None }),
-    ]
-    .into_iter()
-    .map(|(name, measure)| {
-        let backends = hypertree::backends_for(&measure);
-        let req = WidthRequest { measure, opts };
-        (name, race(h, &req, &backends, deadline_from_env()))
-    })
-    .collect();
-    for (name, r) in &races {
+/// The `--stats` tables of a plain `hgtool widths <file>` run: engine,
+/// LP-cache, candidate-generation, simplex and runtime counters per
+/// measure, plus per-measure phase times when spans were recorded.
+fn print_engine_stats(
+    opts: EngineOptions,
+    races: &[(&str, RaceReport)],
+    spans: &[Vec<obs::trace::SpanRecord>],
+) {
+    let stats = || races.iter().map(|(name, r)| (*name, &r.outcome.stats));
+    println!();
+    println!(
+        "threads: {} (override with HGTOOL_THREADS; counters are identical at every count)",
+        hypertree::solver::default_thread_count()
+    );
+    if opts.prep {
+        println!(
+            "prep: on (hw decision profile; ghw/fhw minimizer profile; \
+             disable with --no-prep)"
+        );
+    } else {
+        println!("prep: off");
+    }
+    println!(
+        "engine        states  memo-hits   streamed   admitted   lp-cache       \
+         prep -v/-e/blocks   cand gen/filt   ub-seed"
+    );
+    for (name, t) in stats() {
+        println!(
+            "{name:<10} {:>9} {:>10} {:>10} {:>10}   {}/{} ({:.0}% hit)   {}/{}/{}   {}/{}   {}",
+            t.states,
+            t.memo_hits,
+            t.streamed,
+            t.admitted,
+            t.price_hits,
+            t.price_hits + t.price_misses,
+            100.0 * t.price_hit_rate(),
+            t.prep_vertices_removed,
+            t.prep_edges_removed,
+            t.prep_blocks,
+            t.cand_generated,
+            t.cand_filtered,
+            t.ub_width
+                .as_ref()
+                .map(|w| w.to_string())
+                .unwrap_or_else(|| "-".into()),
+        );
+    }
+    println!();
+    println!("engine     lp-pivots  warm-starts  cold-solves  cand-cap-hits");
+    for (name, t) in stats() {
+        println!(
+            "{name:<10} {:>9} {:>12} {:>12} {:>14}",
+            t.lp_pivots, t.lp_warm_starts, t.lp_cold_solves, t.cand_cap_hits,
+        );
+    }
+    println!();
+    println!("engine     result-cache-hits  inflight-dedup");
+    for (name, t) in stats() {
+        println!(
+            "{name:<10} {:>17} {:>14}",
+            t.result_cache_hits, t.inflight_dedup,
+        );
+    }
+    if obs::trace::enabled() {
+        // Phase times are span *self* times (a phase excludes its
+        // sub-phases), so the columns partition each measure's solve
+        // wall-clock instead of double counting nested work.
+        println!();
+        println!("engine       prep-us  candgen-us   search-us  pricing-us   all-phases-us");
+        for ((name, _), spans) in races.iter().zip(spans) {
+            let totals = obs::trace::phase_totals(spans);
+            let get = |k: &str| totals.get(k).map(|&(_, s)| s).unwrap_or(0);
+            let all: u64 = totals.values().map(|&(_, s)| s).sum();
+            println!(
+                "{name:<10} {:>9} {:>11} {:>11} {:>11} {:>15}",
+                get("prep"),
+                get("candgen"),
+                get("state"),
+                get("price"),
+                all,
+            );
+        }
+    }
+}
+
+/// `hgtool widths --portfolio <file>`: each measure's answer with the
+/// race winner; a race that ended unresolved (`HGTOOL_DEADLINE_MS`
+/// struck, or every member gave up) prints the best witnessed bounds any
+/// member achieved. `--stats` adds the race table and bound traces.
+fn print_races(races: &[(&str, RaceReport)], stats: bool) {
+    for (name, r) in races {
         let answer = match (&r.outcome.width, r.winner) {
             (Some(w), _) => w.to_string(),
             (None, Some(_)) => "no (cutoff certified)".into(),
@@ -695,35 +710,35 @@ fn widths_portfolio(h: &Hypergraph, stats: bool, no_prep: bool) -> Result<(), St
         };
         println!("{name:<3} = {answer}   winner={}", r.winner.unwrap_or("-"));
     }
-    if stats {
-        println!();
-        println!(
-            "race   winner       raced                               canceled  first-bound  exact"
-        );
-        for (name, r) in &races {
-            println!(
-                "{name:<6} {:<12} {:<35} {:>8}  {:>11}  {:>5}",
-                r.winner.unwrap_or("-"),
-                r.raced.join(","),
-                r.canceled,
-                fmt_micros(r.time_to_first_bound),
-                fmt_micros(r.time_to_exact),
-            );
-        }
-        println!();
-        for (name, r) in &races {
-            let trace: Vec<String> = r
-                .trace
-                .iter()
-                .map(|e| match e {
-                    hypertree::solver::backend::BoundEvent::Lower(w) => format!("lb>={w}"),
-                    hypertree::solver::backend::BoundEvent::Upper(w) => format!("ub<={w}"),
-                })
-                .collect();
-            println!("{name} bound trace: {}", trace.join(" -> "));
-        }
+    if !stats {
+        return;
     }
-    Ok(())
+    println!();
+    println!(
+        "race   winner       raced                               canceled  first-bound  exact"
+    );
+    for (name, r) in races {
+        println!(
+            "{name:<6} {:<12} {:<35} {:>8}  {:>11}  {:>5}",
+            r.winner.unwrap_or("-"),
+            r.raced.join(","),
+            r.canceled,
+            fmt_micros(r.time_to_first_bound),
+            fmt_micros(r.time_to_exact),
+        );
+    }
+    println!();
+    for (name, r) in races {
+        let trace: Vec<String> = r
+            .trace
+            .iter()
+            .map(|e| match e {
+                BoundEvent::Lower(w) => format!("lb>={w}"),
+                BoundEvent::Upper(w) => format!("ub<={w}"),
+            })
+            .collect();
+        println!("{name} bound trace: {}", trace.join(" -> "));
+    }
 }
 
 /// Formats an optional race duration in microseconds.
@@ -732,77 +747,71 @@ fn fmt_micros(d: Option<std::time::Duration>) -> String {
         .unwrap_or_else(|| "-".into())
 }
 
-/// `hgtool widths --portfolio` over several files: the batch runs through
-/// the shared runtime ([`hypertree::exact_widths_portfolio_batch`]) and
-/// every instance's three measures race their registries; the winners
-/// column names who won each race.
-fn widths_portfolio_batch(files: &[String], stats: bool, no_prep: bool) -> Result<(), String> {
-    let opts = widths_options(no_prep);
-    let deadline = hypertree::solver::portfolio::deadline_from_env();
+/// `hgtool widths` over several files: one batch through the shared
+/// runtime ([`hypertree::solver::solve_batch`]). Admission is ordered by
+/// the candidate-space estimate, every search multiplexes the one worker
+/// pool, and repeated instances resolve from the cross-call result cache.
+/// Each instance resolves `hw`, `ghw`, `fhw` in turn and stops at the
+/// first measure without a width; `--portfolio` adds the winners column.
+fn widths_batch(files: &[String], mode: &WidthsMode) -> Result<(), String> {
     let mut instances = Vec::with_capacity(files.len());
     for f in files {
         instances.push(load(f)?);
     }
-    let results = hypertree::exact_widths_portfolio_batch(&instances, 8, opts, deadline);
-    let name_width = files.iter().map(|f| f.len()).max().unwrap_or(0);
-    for (file, result) in files.iter().zip(&results) {
-        match result {
-            Some((w, s, races)) => {
-                let mut line = format!(
-                    "{file:<name_width$}  hw={} ghw={} fhw={}  winners hw:{} ghw:{} fhw:{}",
-                    w.hw,
-                    w.ghw,
-                    w.fhw,
-                    races.hw.winner.unwrap_or("-"),
-                    races.ghw.winner.unwrap_or("-"),
-                    races.fhw.winner.unwrap_or("-"),
-                );
-                if stats {
-                    let canceled = races.hw.canceled + races.ghw.canceled + races.fhw.canceled;
-                    let states = s.hw.states + s.ghw.states + s.fhw.states;
-                    line.push_str(&format!("   states={states} losers-canceled={canceled}"));
-                }
-                println!("{line}");
+    let results = hypertree::solver::solve_batch(&instances, |_, h| {
+        let mut races = Vec::with_capacity(3);
+        for measure in hypertree::width_measures(8) {
+            let r = mode.resolve(h, measure);
+            let solved = r.outcome.width.is_some();
+            races.push(r);
+            if !solved {
+                break;
             }
-            None => println!("{file:<name_width$}  n/a (a race ended unresolved)"),
         }
-    }
-    Ok(())
-}
-
-/// `hgtool widths` over several files: one batched [`hypertree::exact_widths_batch`]
-/// invocation through the shared runtime. Admission is ordered by the
-/// candidate-space estimate, every search multiplexes the one worker pool,
-/// and repeated instances resolve from the cross-call result cache.
-fn widths_batch(files: &[String], stats: bool, no_prep: bool) -> Result<(), String> {
-    let opts = widths_options(no_prep);
-    let mut instances = Vec::with_capacity(files.len());
-    for f in files {
-        instances.push(load(f)?);
-    }
-    let results = hypertree::exact_widths_batch(&instances, 8, opts);
+        races
+    });
     let name_width = files.iter().map(|f| f.len()).max().unwrap_or(0);
-    for (file, result) in files.iter().zip(&results) {
-        match result {
-            Some((w, s)) => {
-                let mut line = format!(
-                    "{file:<name_width$}  hw={} ghw={} fhw={}",
-                    w.hw, w.ghw, w.fhw
-                );
-                if stats {
-                    let hits =
-                        s.hw.result_cache_hits + s.ghw.result_cache_hits + s.fhw.result_cache_hits;
-                    let dedup = s.hw.inflight_dedup + s.ghw.inflight_dedup + s.fhw.inflight_dedup;
-                    let states = s.hw.states + s.ghw.states + s.fhw.states;
-                    line.push_str(&format!(
-                        "   states={states} result-cache-hits={hits} \
-                         inflight-dedup={dedup}"
-                    ));
-                }
-                println!("{line}");
-            }
-            None => println!("{file:<name_width$}  n/a (out of exact range)"),
+    for (file, races) in files.iter().zip(&results) {
+        let widths: Vec<&Rational> = races
+            .iter()
+            .filter_map(|r| r.outcome.width.as_ref())
+            .collect();
+        let &[hw, ghw, fhw] = widths.as_slice() else {
+            let why = match races.last() {
+                Some(r) if timed_out(r) => "deadline expired",
+                _ if mode.portfolio => "a race ended unresolved",
+                _ => "out of exact range",
+            };
+            println!("{file:<name_width$}  n/a ({why})");
+            continue;
+        };
+        let mut line = format!("{file:<name_width$}  hw={hw} ghw={ghw} fhw={fhw}");
+        if mode.portfolio {
+            let winner = |i: usize| races[i].winner.unwrap_or("-");
+            line.push_str(&format!(
+                "  winners hw:{} ghw:{} fhw:{}",
+                winner(0),
+                winner(1),
+                winner(2)
+            ));
         }
+        if mode.stats {
+            let sum = |f: fn(&hypertree::solver::SearchStats) -> usize| -> usize {
+                races.iter().map(|r| f(&r.outcome.stats)).sum()
+            };
+            let states = sum(|s| s.states);
+            if mode.portfolio {
+                let canceled: usize = races.iter().map(|r| r.canceled).sum();
+                line.push_str(&format!("   states={states} losers-canceled={canceled}"));
+            } else {
+                line.push_str(&format!(
+                    "   states={states} result-cache-hits={} inflight-dedup={}",
+                    sum(|s| s.result_cache_hits),
+                    sum(|s| s.inflight_dedup)
+                ));
+            }
+        }
+        println!("{line}");
     }
     Ok(())
 }
@@ -887,7 +896,7 @@ fn prep_trace(h: &Hypergraph) -> Result<(), String> {
             i,
             block.hypergraph.num_vertices(),
             block.hypergraph.num_edges(),
-            block.fingerprint,
+            prep::fingerprint(&block.hypergraph),
         );
     }
     let decision = prep::prepare(h, prep::Profile::Decision);

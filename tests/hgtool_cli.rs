@@ -92,31 +92,6 @@ fn widths_no_prep_matches_default_widths() {
 }
 
 #[test]
-fn hgtool_no_prep_env_bypasses_the_pipeline() {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_hgtool"));
-    cmd.args(["widths", "--stats", "-"])
-        .env("HGTOOL_NO_PREP", "1")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped());
-    let mut child = cmd.spawn().expect("spawn hgtool");
-    child
-        .stdin
-        .as_mut()
-        .expect("stdin piped")
-        .write_all(example_4_3_text().as_bytes())
-        .expect("write stdin");
-    let out = child.wait_with_output().expect("run hgtool");
-    let text = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(out.status.success(), "env override run failed:\n{text}");
-    assert!(
-        text.contains("hw  = 3"),
-        "widths must still compute:\n{text}"
-    );
-    assert!(text.contains("prep: off"), "env override ignored:\n{text}");
-}
-
-#[test]
 fn prep_prints_the_reduction_trace() {
     // An α-acyclic chain: GYO must collapse it and say so.
     let input = "r1(a,b,c),\nr2(c,d),\nr3(d,e).";

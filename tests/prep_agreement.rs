@@ -12,7 +12,7 @@ use hypertree::arith::Rational;
 use hypertree::decomp::validate;
 use hypertree::hypergraph::{generators, Hypergraph};
 use hypertree::solver::EngineOptions;
-use hypertree::{fhd, ghd, hd, prep};
+use hypertree::{fhd, ghd, hd};
 use proptest::prelude::*;
 
 /// Random hypergraphs biased toward reducible shapes: acyclic families
@@ -27,13 +27,6 @@ fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
         4 => generators::cq_chain(n, 3, 1),
         _ => generators::cycle(n),
     })
-}
-
-/// True when the process-wide kill switch is set: the pipeline is
-/// disabled whatever the options say, so prep-specific assertions are
-/// vacuous and skip.
-fn prep_disabled() -> bool {
-    std::env::var_os("HGTOOL_NO_PREP").is_some()
 }
 
 /// Prep on, fresh price caches (deterministic stats), default thread
@@ -65,7 +58,7 @@ proptest! {
             without.map(|(w, _)| w),
             "ghw drifted under prep on {:?}", h
         );
-        prop_assert!(prep_disabled() || stats.prep_blocks >= 1, "prep ran");
+        prop_assert!(stats.prep_blocks >= 1, "prep ran");
         if let Some((w, d)) = with {
             prop_assert_eq!(validate::validate_ghd(&h, &d), Ok(()), "lifted ghw witness");
             prop_assert!(d.width() <= Rational::from(w));
@@ -81,7 +74,7 @@ proptest! {
             without.map(|(w, _)| w),
             "fhw drifted under prep on {:?}", h
         );
-        prop_assert!(prep_disabled() || stats.prep_blocks >= 1, "prep ran");
+        prop_assert!(stats.prep_blocks >= 1, "prep ran");
         if let Some((w, d)) = with {
             prop_assert_eq!(validate::validate_fhd(&h, &d), Ok(()), "lifted fhw witness");
             prop_assert!(d.width() <= w);
@@ -179,12 +172,10 @@ fn strict_hd_check_agrees_with_and_without_prep() {
                 hypertree::fhd::HdkParams::default(),
                 without_prep(),
             );
-            if !prep_disabled() {
-                assert!(
-                    stats.prep_vertices_removed >= 1,
-                    "the planted twin must collapse on {h:?}"
-                );
-            }
+            assert!(
+                stats.prep_vertices_removed >= 1,
+                "the planted twin must collapse on {h:?}"
+            );
             // Truncation (`Unknown`) is params-relative and may differ
             // between the instances; only definite answers must agree.
             if !matches!(with, FhdAnswer::Unknown) && !matches!(without, FhdAnswer::Unknown) {
@@ -253,9 +244,6 @@ fn bench_corpus_widths_and_witnesses_are_preserved() {
 /// lifted witness must cover the whole instance.
 #[test]
 fn block_split_witnesses_stitch_back() {
-    if prep_disabled() {
-        return;
-    }
     let h = Hypergraph::from_edges(
         5,
         vec![
@@ -280,9 +268,6 @@ fn block_split_witnesses_stitch_back() {
 /// all: the whole answer comes from the witness-backed bound.
 #[test]
 fn gyo_collapse_shrinks_the_search() {
-    if prep_disabled() {
-        return;
-    }
     let h = generators::cq_chain(5, 3, 1);
     let (with, with_stats) = fhd::fhw_exact_with_stats(&h, None, with_prep());
     let (without, without_stats) = fhd::fhw_exact_with_stats(&h, None, without_prep());
@@ -314,10 +299,6 @@ fn gyo_collapse_shrinks_the_search() {
 /// rerun hits, none is computed again.
 #[test]
 fn repeated_searches_hit_the_cross_call_cache() {
-    if prep_disabled() {
-        // HGTOOL_NO_PREP disables the whole subsystem, registry included.
-        return;
-    }
     let h = generators::cycle(6);
     let opts = EngineOptions {
         reuse_prices: true,
@@ -336,16 +317,4 @@ fn repeated_searches_hit_the_cross_call_cache() {
         rerun.price_hits,
         rerun.price_misses
     );
-}
-
-/// `HGTOOL_NO_PREP` would make this whole suite vacuous — make sure the
-/// library-level switch actually reports prep as disabled then.
-#[test]
-fn env_override_is_respected() {
-    if std::env::var_os("HGTOOL_NO_PREP").is_some() {
-        assert!(!prep::enabled(true));
-    } else {
-        assert!(prep::enabled(true));
-        assert!(!prep::enabled(false));
-    }
 }

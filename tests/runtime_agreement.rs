@@ -31,12 +31,6 @@ fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
     })
 }
 
-/// `HGTOOL_NO_PREP` vetoes the whole cross-call subsystem (registry and
-/// result cache included), making every cache-hit assertion vacuous.
-fn prep_disabled() -> bool {
-    std::env::var_os("HGTOOL_NO_PREP").is_some()
-}
-
 /// Result reuse off, fresh price caches: a fully cold, deterministic
 /// search — the reference run.
 fn cold() -> EngineOptions {
@@ -88,7 +82,6 @@ proptest! {
 
     #[test]
     fn hw_cached_equals_cold(h in arb_hypergraph()) {
-        if prep_disabled() { return Ok(()); }
         let (cold_r, warm_r) =
             cold_then_cached(|o| hd::hypertree_width_with_stats(&h, 6, o))?;
         prop_assert_eq!(
@@ -104,7 +97,6 @@ proptest! {
 
     #[test]
     fn ghw_cached_equals_cold(h in arb_hypergraph()) {
-        if prep_disabled() { return Ok(()); }
         let (cold_r, warm_r) =
             cold_then_cached(|o| ghd::ghw_exact_with_stats(&h, None, o))?;
         prop_assert_eq!(
@@ -120,7 +112,6 @@ proptest! {
 
     #[test]
     fn fhw_cached_equals_cold(h in arb_hypergraph()) {
-        if prep_disabled() { return Ok(()); }
         let (cold_r, warm_r) =
             cold_then_cached(|o| fhd::fhw_exact_with_stats(&h, None, o))?;
         prop_assert_eq!(
@@ -136,7 +127,6 @@ proptest! {
 
     #[test]
     fn frac_decomp_cached_equals_cold(h in arb_hypergraph()) {
-        if prep_disabled() { return Ok(()); }
         let params = fhd::FracDecompParams {
             k: Rational::from(2usize),
             eps: Rational::from_frac(1, 2),
@@ -162,9 +152,6 @@ proptest! {
 #[test]
 fn strict_hd_cached_equals_cold() {
     use hypertree::fhd::FhdAnswer;
-    if prep_disabled() {
-        return;
-    }
     for h in [
         generators::cycle(3),
         generators::cycle(4),
@@ -208,9 +195,6 @@ fn strict_hd_cached_equals_cold() {
 /// completed entry), and both report identical engine counters.
 #[test]
 fn concurrent_identical_queries_run_one_search() {
-    if prep_disabled() {
-        return;
-    }
     // An instance no other suite in this binary searches, so its result
     // slot is guaranteed empty when the race starts.
     let h = generators::random_bip(14, 10, 2, 3, 987_654);
@@ -249,9 +233,6 @@ fn concurrent_identical_queries_run_one_search() {
 /// identical widths.
 #[test]
 fn solve_batch_warm_pass_hits_every_instance() {
-    if prep_disabled() {
-        return;
-    }
     let instances = vec![
         generators::cycle(9),
         generators::path(7),

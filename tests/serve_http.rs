@@ -214,6 +214,31 @@ fn serve_end_to_end() {
     }
     check_winners(&resp, 3 * corpus.len());
 
+    // A deadline strike answers 504 and counts as expired in both
+    // modes. The 5x6 grid's ghw search takes far longer than 1 ms and
+    // no earlier request solved it, so both requests miss the result
+    // cache (an interrupted search caches nothing).
+    let expired = |stream: &mut TcpStream| {
+        let (_, text) = http_call(stream, "GET", "/metrics", None).expect("metrics");
+        metric_value(&text, "hgtool_serve_deadline_expired_total").expect("deadline counter")
+    };
+    let before = expired(&mut main_stream);
+    let grid = hypertree::hypergraph::generators::grid(5, 6).to_string();
+    for portfolio in [false, true] {
+        let body = format!(
+            "{{\"hypergraph\":{},\"measure\":\"ghw\",\"portfolio\":{portfolio},\"deadline_ms\":1}}",
+            serve::http::json_escape(&grid)
+        );
+        let (status, resp) =
+            http_call(&mut main_stream, "POST", "/solve", Some(&body)).expect("deadline call");
+        assert_eq!(status, 504, "portfolio={portfolio}: {resp}");
+    }
+    assert_eq!(
+        expired(&mut main_stream),
+        before + 2.0,
+        "both strikes count as expired deadlines"
+    );
+
     // Error paths: malformed body, unknown route, wrong method, bad
     // measure, non-integral knobs, oversized body.
     let (status, resp) =
